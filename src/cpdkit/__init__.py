@@ -17,7 +17,7 @@ from .core import (
     segment_means,
     universal_threshold,
 )
-from .cusum import CusumEvaluation, cusum_stat, max_cusum
+from .cusum import cusum_stat, max_cusum
 from .distance import AssignmentResult, CostMatrix, config_distance, min_assignment
 from .penlik import (
     GaParams,
@@ -29,7 +29,7 @@ from .penlik import (
     select_bic,
     select_mbic,
 )
-from .wbs import IntervalSet, draw_intervals, wbs_detect
+from .wbs import wbs_detect
 from .wbs2 import (
     CandidateEntry,
     SortedCandidateList,
@@ -53,12 +53,9 @@ __all__ = [
     "mad_sigma",
     "segment_means",
     "universal_threshold",
-    "CusumEvaluation",
     "cusum_stat",
     "max_cusum",
     "binary_segmentation",
-    "IntervalSet",
-    "draw_intervals",
     "wbs_detect",
     "CandidateEntry",
     "SortedCandidateList",

@@ -6,17 +6,33 @@ from __future__ import annotations
 import concurrent.futures
 import io
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .binseg import binary_segmentation
 from .core import ChangepointConfig, Seed, TimeSeries, gen_null, gen_teeth
 from .distance import config_distance
-from .penlik import select_bic, select_mbic
+from .penlik import PenalizedFit, select_bic, select_mbic
 from .wbs import wbs_detect
 from .wbs2 import wbs2_sdll_detect
 
-VALID_METHODS = ("bic", "mbic", "wbs", "wbs2-sdll", "binseg")
+
+class Method(NamedTuple):
+    detector: Callable  # returns a ChangepointConfig, or a PenalizedFit for bic/mbic
+    seeded: bool  # takes a ``seed`` keyword
+
+
+# The one place a method name meets its detector; the detector's signature
+# holds every default. The order fixes _METHOD_TAGS, and so every study seed.
+METHODS = {
+    "bic": Method(select_bic, seeded=False),
+    "mbic": Method(select_mbic, seeded=False),
+    "wbs": Method(wbs_detect, seeded=True),
+    "wbs2-sdll": Method(wbs2_sdll_detect, seeded=True),
+    "binseg": Method(binary_segmentation, seeded=False),
+}
+VALID_METHODS = tuple(METHODS)
 
 # Stable tags feeding the per-replication seed derivation; the data stream is
 # shared by every method within a replication (paired comparison), detector
@@ -39,38 +55,33 @@ def method_seed(master_seed: Seed, method: str, series_length: int, rep: int) ->
     return derive_seed(master_seed, _METHOD_TAGS[method], series_length, rep)
 
 
+def _unknown_method(method: str) -> ValueError:
+    return ValueError(f"unknown method {method!r}; valid methods: {', '.join(VALID_METHODS)}")
+
+
+def run_detector(
+    method: str, series: TimeSeries, seed: Seed, params: dict | None = None
+) -> ChangepointConfig | PenalizedFit:
+    """Call the named detector with ``params`` as keyword arguments, plus
+    ``seed`` if it takes one, and return what it returns.
+
+    Parameters left out take the detector's own defaults; a parameter the
+    detector does not take raises TypeError.
+    """
+    if method not in METHODS:
+        raise _unknown_method(method)
+    detector, seeded = METHODS[method]
+    if seeded:
+        return detector(series, seed=seed, **(params or {}))
+    return detector(series, **(params or {}))
+
+
 def run_method(
     method: str, series: TimeSeries, seed: Seed, params: dict | None = None
 ) -> ChangepointConfig:
-    """Run one named detector with optional parameter overrides."""
-    params = dict(params or {})
-    if method == "binseg":
-        return binary_segmentation(
-            series,
-            threshold=params.get("threshold"),
-            min_len=params.get("min_len", 2),
-            c=params.get("c", 1.3),
-        )
-    if method == "wbs":
-        return wbs_detect(
-            series,
-            m_intervals=params.get("m_intervals", 5000),
-            c=params.get("c", 1.3),
-            seed=seed,
-            min_span=params.get("min_span", 1),
-        )
-    if method == "wbs2-sdll":
-        return wbs2_sdll_detect(
-            series,
-            m_stage=params.get("m_stage", 100),
-            lam=params.get("lam", 0.9),
-            seed=seed,
-        )
-    if method == "bic":
-        return select_bic(series, min_seg=params.get("min_seg", 2)).config
-    if method == "mbic":
-        return select_mbic(series, min_seg=params.get("min_seg", 2)).config
-    raise ValueError(f"unknown method {method!r}; valid methods: {', '.join(VALID_METHODS)}")
+    """Changepoints of one named detector, as :func:`run_detector` runs it."""
+    result = run_detector(method, series, seed, params)
+    return result.config if isinstance(result, PenalizedFit) else result
 
 
 @dataclass(frozen=True)
@@ -105,22 +116,17 @@ class BenchmarkReport:
         raise KeyError(f"no row for ({method}, {series_length})")
 
 
-def _check_methods(methods) -> list[str]:
-    methods = list(methods)
-    if not methods:
-        raise ValueError(f"no methods given; valid methods: {', '.join(VALID_METHODS)}")
-    for m in methods:
-        if m not in VALID_METHODS:
-            raise ValueError(
-                f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}"
-            )
-    return methods
+def _replicate(args) -> dict[str, tuple[int, float]]:
+    """Every method on one replication's series: (count, distance to truth).
 
-
-def _null_rep(args) -> tuple[int, dict[str, tuple[int, float]]]:
-    methods, length, rep, master_seed, method_params = args
-    series = gen_null(length, data_seed(master_seed, length, rep))
-    truth = ChangepointConfig.empty(length)
+    ``teeth`` is None for a null series, else the teeth generator settings.
+    """
+    methods, length, teeth, rep, master_seed, method_params = args
+    seed = data_seed(master_seed, length, rep)
+    if teeth is None:
+        series, truth = gen_null(length, seed), ChangepointConfig.empty(length)
+    else:
+        series, truth = gen_teeth(length, teeth.period, teeth.amplitude, teeth.sigma, seed=seed)
     out = {}
     for method in methods:
         est = run_method(
@@ -128,53 +134,47 @@ def _null_rep(args) -> tuple[int, dict[str, tuple[int, float]]]:
             (method_params or {}).get(method),
         )
         out[method] = (est.count, config_distance(est, truth))
-    return rep, out
+    return out
 
 
-def _signal_rep(args) -> tuple[int, dict[str, tuple[int, float]]]:
-    methods, spec, rep, master_seed, method_params = args
-    series, truth = gen_teeth(
-        spec.length, spec.period, spec.amplitude, spec.sigma,
-        seed=data_seed(master_seed, spec.length, rep),
-    )
-    out = {}
-    for method in methods:
-        est = run_method(
-            method, series, method_seed(master_seed, method, spec.length, rep),
-            (method_params or {}).get(method),
-        )
-        out[method] = (est.count, config_distance(est, truth))
-    return rep, out
+def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_params,
+               n_jobs) -> BenchmarkReport:
+    """Shared body of the null and signal studies: validate, replicate every
+    (length, rep) cell serially or in worker processes, aggregate per method."""
+    methods = list(methods)
+    if not methods:
+        raise ValueError(f"no methods given; valid methods: {', '.join(VALID_METHODS)}")
+    for m in methods:
+        if m not in METHODS:
+            raise _unknown_method(m)
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be positive, got {n_reps}")
+    for length in lengths:
+        if length < 10:
+            raise ValueError(f"series lengths below 10 are not supported, got {length}")
 
-
-def _aggregate(methods, length, n_reps, per_rep) -> list[ReportRow]:
-    rows = []
-    for method in methods:
-        counts = np.array([per_rep[rep][method][0] for rep in range(n_reps)])
-        dists = np.array([per_rep[rep][method][1] for rep in range(n_reps)])
-        rows.append(
-            ReportRow(
-                method=method,
-                series_length=length,
-                n_reps=n_reps,
-                false_positive_rate=float(np.mean(counts >= 1)),
-                avg_distance=float(np.mean(dists)),
+    rows: list[ReportRow] = []
+    for length in lengths:
+        jobs = [(methods, length, teeth, rep, master_seed, method_params)
+                for rep in range(n_reps)]
+        if n_jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
+                per_rep = list(pool.map(_replicate, jobs, chunksize=8))
+        else:
+            per_rep = [_replicate(job) for job in jobs]
+        for method in methods:
+            counts = np.array([out[method][0] for out in per_rep])
+            dists = np.array([out[method][1] for out in per_rep])
+            rows.append(
+                ReportRow(
+                    method=method,
+                    series_length=length,
+                    n_reps=n_reps,
+                    false_positive_rate=float(np.mean(counts >= 1)),
+                    avg_distance=float(np.mean(dists)),
+                )
             )
-        )
-    return rows
-
-
-def _run_reps(worker, jobs, n_jobs: int):
-    per_rep = {}
-    if n_jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for rep, out in pool.map(worker, jobs, chunksize=8):
-                per_rep[rep] = out
-    else:
-        for job in jobs:
-            rep, out = worker(job)
-            per_rep[rep] = out
-    return per_rep
+    return BenchmarkReport(rows=tuple(rows), master_seed=int(master_seed), study=study)
 
 
 def run_null_study(
@@ -191,17 +191,8 @@ def run_null_study(
     Fully deterministic given the master seed; replications may run in
     parallel without changing the result.
     """
-    methods = _check_methods(methods)
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be positive, got {n_reps}")
-    rows: list[ReportRow] = []
-    for length in series_lengths:
-        if length < 10:
-            raise ValueError(f"series lengths below 10 are not supported, got {length}")
-        jobs = [(methods, length, rep, master_seed, method_params) for rep in range(n_reps)]
-        per_rep = _run_reps(_null_rep, jobs, n_jobs)
-        rows.extend(_aggregate(methods, length, n_reps, per_rep))
-    return BenchmarkReport(rows=tuple(rows), master_seed=int(master_seed), study="null")
+    return _run_study("null", methods, list(series_lengths), None, n_reps, master_seed,
+                      method_params, n_jobs)
 
 
 def run_signal_study(
@@ -214,19 +205,8 @@ def run_signal_study(
 ) -> BenchmarkReport:
     """Same pipeline against a teeth-signal truth; distances are computed
     against the generator's true configuration."""
-    methods = _check_methods(methods)
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be positive, got {n_reps}")
-    if generator_spec.length < 10:
-        raise ValueError(
-            f"series lengths below 10 are not supported, got {generator_spec.length}"
-        )
-    jobs = [
-        (methods, generator_spec, rep, master_seed, method_params) for rep in range(n_reps)
-    ]
-    per_rep = _run_reps(_signal_rep, jobs, n_jobs)
-    rows = _aggregate(methods, generator_spec.length, n_reps, per_rep)
-    return BenchmarkReport(rows=tuple(rows), master_seed=int(master_seed), study="signal")
+    return _run_study("signal", methods, [generator_spec.length], generator_spec, n_reps,
+                      master_seed, method_params, n_jobs)
 
 
 def format_table(report: BenchmarkReport) -> str:

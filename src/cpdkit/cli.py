@@ -16,6 +16,7 @@ from .bench import (
     TeethSpec,
     VALID_METHODS,
     format_table,
+    run_detector,
     run_method,
     run_null_study,
     run_signal_study,
@@ -23,7 +24,6 @@ from .bench import (
 )
 from .core import ChangepointConfig, TimeSeries, mad_sigma, segment_means, universal_threshold
 from .distance import config_distance
-from .penlik import select_bic, select_mbic
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
@@ -132,7 +132,6 @@ def cmd_detect(args) -> int:
         return EXIT_BAD_CONFIG
     series = read_series_file(args.input)
     params = _method_params(args)[args.method]
-    config = run_method(args.method, series, args.seed, params)
 
     result: dict = {
         "method": args.method,
@@ -140,17 +139,17 @@ def cmd_detect(args) -> int:
         "seed": args.seed,
         "sigma_hat": mad_sigma(series),
     }
-    if args.method in ("binseg", "wbs"):
-        result["threshold"] = universal_threshold(series, args.threshold_c)
-    elif args.method == "wbs2-sdll":
-        result["threshold"] = universal_threshold(series, args.sdll_lambda)
-    else:
-        select = select_bic if args.method == "bic" else select_mbic
-        fit = select(series, min_seg=args.min_seg)
+    if args.method in ("bic", "mbic"):
+        fit = run_detector(args.method, series, args.seed, params)
+        config = fit.config
         # a perfect fit has objective -inf, which JSON cannot carry
         result["objective"] = fit.objective if not fit.degenerate else None
         result["rss"] = fit.rss
         result["degenerate"] = fit.degenerate
+    else:
+        config = run_method(args.method, series, args.seed, params)
+        c = args.sdll_lambda if args.method == "wbs2-sdll" else args.threshold_c
+        result["threshold"] = universal_threshold(series, c)
     result["n_changepoints"] = config.count
     result["changepoints"] = list(config.times)
     result["segment_means"] = segment_means(series, config)

@@ -14,29 +14,10 @@ segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TimeSeries
-
-
-@dataclass(frozen=True)
-class CusumEvaluation:
-    """One evaluated split: segment [start, end], split point, statistic value."""
-
-    start: int
-    end: int
-    split: int
-    value: float
-
-    def __post_init__(self):
-        if not 1 <= self.start <= self.split < self.end:
-            raise ValueError(
-                f"need 1 <= start <= split < end, got ({self.start}, {self.split}, {self.end})"
-            )
-        if not np.isfinite(self.value):
-            raise ValueError(f"statistic value must be finite, got {self.value}")
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:

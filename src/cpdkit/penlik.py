@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChangepointConfig, Seed, TimeSeries
+from .cusum import prefix_sums
 from .wbs2 import SortedCandidateList
 
 M_MAX_CAP = 25
@@ -59,9 +60,17 @@ class RssTable:
 
 
 def _prefix_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
-    ss = np.concatenate(([0.0], np.cumsum(values * values, dtype=np.float64)))
-    return s, ss
+    return prefix_sums(values), prefix_sums(values * values)
+
+
+def _segment_rss(
+    s: np.ndarray, ss: np.ndarray, bounds: np.ndarray, lengths: np.ndarray
+) -> float:
+    """Summed within-segment RSS for segments (bounds[i], bounds[i+1]] in
+    prefix indices, with lengths = np.diff(bounds)."""
+    seg_s = s[bounds[1:]] - s[bounds[:-1]]
+    seg_ss = ss[bounds[1:]] - ss[bounds[:-1]]
+    return float(np.sum(np.maximum(seg_ss - seg_s**2 / lengths, 0.0)))
 
 
 # above this length the full (T+1)^2 cost matrix is recomputed in column
@@ -277,9 +286,7 @@ class _SubsetObjective:
         lengths = np.diff(bounds)
         if np.any(lengths < self.min_seg):
             return (math.inf, m)
-        seg_s = self.s[bounds[1:]] - self.s[bounds[:-1]]
-        seg_ss = self.ss[bounds[1:]] - self.ss[bounds[:-1]]
-        rss = float(np.sum(np.maximum(seg_ss - seg_s**2 / lengths, 0.0)))
+        rss = _segment_rss(self.s, self.ss, bounds, lengths)
         return (_objective_for(self.penalty_name, rss, self.n, lengths.tolist()), m)
 
     def fit(self, bits: np.ndarray) -> PenalizedFit:
@@ -295,9 +302,7 @@ def evaluate_fit_from_moments(
 ) -> PenalizedFit:
     bounds = np.array([0] + [t - 1 for t in config.times] + [n])
     lengths = np.diff(bounds)
-    seg_s = s[bounds[1:]] - s[bounds[:-1]]
-    seg_ss = ss[bounds[1:]] - ss[bounds[:-1]]
-    rss = float(np.sum(np.maximum(seg_ss - seg_s**2 / lengths, 0.0)))
+    rss = _segment_rss(s, ss, bounds, lengths)
     objective = _objective_for(penalty_name, rss, n, lengths.tolist())
     return PenalizedFit(
         config=config,

@@ -4,31 +4,11 @@ threshold-based selection of the strongest contained CUSUM."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ChangepointConfig, Seed, TimeSeries, universal_threshold
 from .cusum import batch_max_cusum, magnitude_floor, max_cusum_from_sums, prefix_sums
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """A multiset of 1-based (start, end) intervals with end > start."""
-
-    intervals: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "intervals", tuple((int(s), int(e)) for s, e in self.intervals)
-        )
-        for s, e in self.intervals:
-            if s < 1 or e - s < 1:
-                raise ValueError(f"invalid interval ({s}, {e})")
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
 
 
 def sample_interval_pairs(
@@ -53,16 +33,6 @@ def sample_interval_pairs(
     offset = u - np.concatenate(([0], cum[:-1]))[s_idx]
     ends = starts + min_span + offset
     return starts, ends
-
-
-def draw_intervals(n_obs: int, m: int, min_span: int = 1, seed: Seed = 0) -> IntervalSet:
-    """Draw ``m`` uniformly distributed random intervals over a series of
-    length ``n_obs``."""
-    if m < 1:
-        raise ValueError(f"number of intervals must be positive, got {m}")
-    rng = np.random.default_rng(seed)
-    starts, ends = sample_interval_pairs(rng, n_obs, m, min_span)
-    return IntervalSet(tuple(zip(starts.tolist(), ends.tolist())))
 
 
 def wbs_detect(

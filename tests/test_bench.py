@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cpdkit import TeethSpec, run_null_study, run_signal_study
+from cpdkit import (
+    TeethSpec,
+    gen_null,
+    gen_teeth,
+    run_null_study,
+    run_signal_study,
+    wbs2_sdll_detect,
+)
 from cpdkit.bench import (
     VALID_METHODS,
     data_seed,
@@ -10,7 +17,6 @@ from cpdkit.bench import (
     run_method,
     write_csv,
 )
-from cpdkit import gen_null
 
 
 class TestSeedDerivation:
@@ -28,6 +34,37 @@ class TestSeedDerivation:
         assert data_seed(7, 100, 3) == data_seed(7, 100, 3)
         assert data_seed(7, 100, 3) != data_seed(7, 100, 4)
         assert data_seed(7, 100, 3) != data_seed(8, 100, 3)
+
+    def test_method_seeds_pinned(self):
+        # the method table's order fixes each detector's seed stream, and so
+        # every study result; a reordered table must not move them silently
+        assert {m: method_seed(12345, m, 100, 0) for m in VALID_METHODS} == {
+            "bic": 13913857450986360537,
+            "mbic": 3841899023762396000,
+            "wbs": 14158096100336874695,
+            "wbs2-sdll": 13347351076557989819,
+            "binseg": 10036863329855540650,
+        }
+
+
+class TestRunMethod:
+    def test_defaults_are_the_detectors(self):
+        for k in range(10):
+            series = gen_null(100, 700 + k)
+            assert run_method("wbs2-sdll", series, k) == wbs2_sdll_detect(series, seed=k)
+
+    def test_params_reach_detector(self):
+        series, _ = gen_teeth(300, period=20, sigma=0.6, seed=0)
+        config = run_method("wbs2-sdll", series, 0, {"floor_mult": 1.0})
+        assert config == wbs2_sdll_detect(series, seed=0, floor_mult=1.0)
+        assert config.count == 1
+
+    def test_unknown_parameter_raises(self):
+        series = gen_null(50, 1)
+        with pytest.raises(TypeError):
+            run_method("wbs", series, 0, {"lam": 1.3})
+        with pytest.raises(TypeError):
+            run_method("bic", series, 0, {"seed": 3})
 
 
 class TestRunNullStudy:

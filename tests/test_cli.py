@@ -1,9 +1,12 @@
+import inspect
 import json
 import time
 
 import numpy as np
 
-from cpdkit.cli import main
+import cpdkit.penlik
+from cpdkit import gen_teeth
+from cpdkit.cli import _method_params, build_parser, main
 
 
 def write_step_csv(path, header=True):
@@ -62,6 +65,44 @@ class TestDetect:
                          "--out", str(out)])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_floor_mult_flag_reaches_detector(self, tmp_path, capsys):
+        series, _ = gen_teeth(300, period=20, sigma=0.6, seed=0)
+        src = tmp_path / "teeth.csv"
+        src.write_text("".join(f"{v!r}\n" for v in series.values.tolist()))
+        assert main(["detect", str(src), "--method", "wbs2-sdll", "--seed", "0",
+                     "--floor-mult", "1.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_changepoints"] == 1
+
+    def test_penalized_detect_runs_dp_once(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "n.csv"
+        rng = np.random.default_rng(1)
+        src.write_text("\n".join(str(v) for v in rng.standard_normal(40)) + "\n")
+        calls = []
+        table = cpdkit.penlik.segment_rss_table
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(cpdkit.penlik, "segment_rss_table", counted)
+        for method in ("bic", "mbic"):
+            calls.clear()
+            assert main(["detect", str(src), "--method", method]) == 0
+            assert json.loads(capsys.readouterr().out)["rss"] > 0
+            assert len(calls) == 1, method
+
+    def test_detector_flag_defaults_match_detectors(self):
+        from cpdkit.bench import METHODS
+
+        # the flags are the one place besides the detectors that states a
+        # default; every flag default must equal the parameter it feeds
+        parser = build_parser()
+        for argv in (["detect", "x.csv", "--method", "bic"], ["bench"]):
+            for method, params in _method_params(parser.parse_args(argv)).items():
+                signature = inspect.signature(METHODS[method].detector)
+                for name, value in params.items():
+                    assert value == signature.parameters[name].default, (method, name)
 
 
 class TestDistance:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpdkit import CusumEvaluation, TimeSeries, cusum_stat, max_cusum
+from cpdkit import TimeSeries, cusum_stat, max_cusum
 from cpdkit.cusum import batch_max_cusum, prefix_sums
 
 
@@ -128,19 +128,6 @@ class TestBatchMaxCusum:
     def test_empty_input(self):
         bs, mags = batch_max_cusum(prefix_sums(np.zeros(5)), np.empty(0), np.empty(0))
         assert bs.size == 0 and mags.size == 0
-
-
-class TestCusumEvaluation:
-    def test_valid(self):
-        CusumEvaluation(start=1, end=5, split=3, value=-0.2)
-
-    def test_invalid_split(self):
-        with pytest.raises(ValueError):
-            CusumEvaluation(start=3, end=5, split=5, value=0.0)
-
-    def test_non_finite_value(self):
-        with pytest.raises(ValueError):
-            CusumEvaluation(start=1, end=5, split=3, value=float("inf"))
 
 
 def test_batch_chunking_matches_single_pass(monkeypatch):
