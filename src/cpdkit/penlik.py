@@ -60,7 +60,10 @@ class RssTable:
 
 
 def _prefix_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return prefix_sums(values), prefix_sums(values * values)
+    """Prefix sums and sums of squares of the centered series; centering
+    keeps ss - s^2/n from cancelling catastrophically at large offsets."""
+    centered = values - values.mean()
+    return prefix_sums(centered), prefix_sums(centered * centered)
 
 
 def _segment_rss(
@@ -73,18 +76,17 @@ def _segment_rss(
     return float(np.sum(np.maximum(seg_ss - seg_s**2 / lengths, 0.0)))
 
 
-# above this length the full (T+1)^2 cost matrix is recomputed in column
-# blocks per DP level instead of being materialized (memory vs. flops)
-_FULL_COST_MAX_N = 2800
-_COST_BLOCK = 512
+# columns of the segment-cost matrix built at once; working memory is a few
+# (T+1) x _COST_BLOCK float64 arrays
+_COST_BLOCK = 128
 
 
 def _cost_columns(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) -> np.ndarray:
-    """cost[u, t] = RSS of one mean over observations u+1..t (prefix indices)
-    for columns t in [lo, hi), inf where the segment is shorter than min_seg."""
-    n = s.size - 1
+    """cost[u, t - lo] = RSS of one mean over observations u+1..t (prefix
+    indices) for rows u < hi and columns t in [lo, hi), inf where the segment
+    is shorter than min_seg (so for every u >= t)."""
     t = np.arange(lo, hi)
-    u = np.arange(n + 1)
+    u = np.arange(hi)
     lengths = t[None, :] - u[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         cost = (ss[t][None, :] - ss[u][:, None]) - (s[t][None, :] - s[u][:, None]) ** 2 / lengths
@@ -93,15 +95,13 @@ def _cost_columns(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int)
     return cost
 
 
-def _cost_matrix(values: np.ndarray, min_seg: int) -> np.ndarray:
-    s, ss = _prefix_moments(values)
-    return _cost_columns(s, ss, 0, values.size + 1, min_seg)
-
-
 def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTable:
     """Exact minimal-RSS configurations for every count m = 0..m_max.
 
-    Segment-neighborhood dynamic programming, O(m_max * T^2) time.
+    Segment-neighborhood dynamic programming in O(m_max * T^2) time and
+    O(T * _COST_BLOCK) memory: each block of cost columns is built once and
+    every level advances across it before the next block, which is valid
+    because f_k[t] reads f_{k-1}[u] only for u < t.
     """
     n = len(series)
     if m_max < 0:
@@ -115,47 +115,29 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
         )
 
     s, ss = _prefix_moments(series.values)
-    cost = _cost_matrix(series.values, min_seg) if n <= _FULL_COST_MAX_N else None
-
-    def level(f_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if cost is not None:
-            w = f_prev[:, None] + cost
-            return np.min(w, axis=0), np.argmin(w, axis=0)
-        f_new = np.empty(n + 1)
-        back = np.empty(n + 1, dtype=np.int64)
-        for lo in range(0, n + 1, _COST_BLOCK):
-            hi = min(lo + _COST_BLOCK, n + 1)
-            w = f_prev[:, None] + _cost_columns(s, ss, lo, hi, min_seg)
-            f_new[lo:hi] = np.min(w, axis=0)
-            back[lo:hi] = np.argmin(w, axis=0)
-        return f_new, back
-
-    if cost is not None:
-        f = cost[0, :].copy()  # one segment over the first t observations
-    else:
-        t = np.arange(n + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.maximum(ss[t] - s[t] ** 2 / t, 0.0)
-        f[t < min_seg] = np.inf
-    rss_rows = [float(f[n])]
-    backs: list[np.ndarray] = []
-    for _ in range(m_max):
-        f, back = level(f)
-        backs.append(back)
-        rss_rows.append(float(f[n]))
+    f = np.empty((m_max + 1, n + 1))  # f[k, t]: best RSS of t obs with k changepoints
+    backs = np.empty((m_max, n + 1), dtype=np.int64)
+    for lo in range(0, n + 1, _COST_BLOCK):
+        hi = min(lo + _COST_BLOCK, n + 1)
+        cost = _cost_columns(s, ss, lo, hi, min_seg)
+        f[0, lo:hi] = cost[0]  # one segment over the first t observations
+        for k in range(1, m_max + 1):
+            w = f[k - 1, :hi, None] + cost
+            f[k, lo:hi] = np.min(w, axis=0)
+            backs[k - 1, lo:hi] = np.argmin(w, axis=0)
 
     configs: list[tuple[int, ...]] = [()]
     for m in range(1, m_max + 1):
         times = []
         t = n
         for k in range(m, 0, -1):
-            u = int(backs[k - 1][t])
+            u = int(backs[k - 1, t])
             times.append(u + 1)
             t = u
         configs.append(tuple(sorted(times)))
 
     return RssTable(
-        rss=tuple(rss_rows), configs=tuple(configs), series_length=n, min_seg=min_seg
+        rss=tuple(f[:, n].tolist()), configs=tuple(configs), series_length=n, min_seg=min_seg
     )
 
 

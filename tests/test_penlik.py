@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from cpdkit import (
     select_mbic,
     wbs2_candidates,
 )
-from cpdkit.penlik import bic_objective, evaluate_fit, mbic_objective
+from cpdkit import penlik
+from cpdkit.penlik import (
+    RssTable,
+    bic_objective,
+    default_m_max,
+    evaluate_fit,
+    mbic_objective,
+)
 from cpdkit.wbs2 import CandidateEntry, SortedCandidateList
 
 
@@ -277,13 +285,70 @@ class TestHybridRefine:
         assert set(truth.times) <= set(fit.config.times)
 
 
-def test_blockwise_dp_matches_full_matrix(monkeypatch):
-    # long series fall back to block-recomputed cost columns; results identical
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal(200)
-    s = TimeSeries(x)
-    full = segment_rss_table(s, m_max=8)
-    import cpdkit.penlik as penlik
+def _dense_rss_table(series, m_max, min_seg):
+    """Reference segment-neighborhood DP over the whole (T+1)^2 cost matrix."""
+    n = len(series)
+    s, ss = penlik._prefix_moments(series.values)
+    t = np.arange(n + 1)
+    lengths = t[None, :] - t[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = (ss[None, :] - ss[:, None]) - (s[None, :] - s[:, None]) ** 2 / lengths
+    cost = np.maximum(cost, 0.0)
+    cost[lengths < min_seg] = np.inf
+    f = cost[0].copy()
+    rss, backs = [float(f[n])], []
+    for _ in range(m_max):
+        w = f[:, None] + cost
+        f = np.min(w, axis=0)
+        backs.append(np.argmin(w, axis=0))
+        rss.append(float(f[n]))
+    configs = [()]
+    for m in range(1, m_max + 1):
+        end, times = n, []
+        for back in reversed(backs[:m]):
+            end = int(back[end])
+            times.append(end + 1)
+        configs.append(tuple(sorted(times)))
+    return RssTable(rss=tuple(rss), configs=tuple(configs), series_length=n, min_seg=min_seg)
 
-    monkeypatch.setattr(penlik, "_FULL_COST_MAX_N", 0)
-    assert segment_rss_table(s, m_max=8) == full
+
+def test_blockwise_dp_matches_dense_reference(monkeypatch):
+    # every cost-block size, from one column to the whole matrix, gives the
+    # dense DP's table exactly; the step series makes zero-cost ties
+    for n, min_seg in itertools.product((23, 61, 150), (2, 3)):
+        m_max = default_m_max(n, min_seg)
+        q = n // 4
+        step = TimeSeries(np.repeat([0.0, 3.0, 1.0, 3.0], [q, q, q, n - 3 * q]))
+        for series in (gen_null(n, n), step):
+            expected = _dense_rss_table(series, m_max, min_seg)
+            for block in (1, 7, n + 1, 10 * n):
+                monkeypatch.setattr(penlik, "_COST_BLOCK", block)
+                assert segment_rss_table(series, m_max, min_seg) == expected
+
+
+def test_dp_memory_bounded_by_cost_block():
+    # working memory is a few (T+1) x _COST_BLOCK float64 blocks, not the
+    # dense (T+1)^2 cost matrix (32 MB at T=2000)
+    series = gen_null(2000, 2)
+    block_bytes = (len(series) + 1) * penlik._COST_BLOCK * 8
+    tracemalloc.start()
+    try:
+        segment_rss_table(series, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block_bytes
+    assert peak < 8 * (len(series) + 1) ** 2 / 2
+
+
+def test_large_offset_leaves_penalized_fit_unchanged():
+    # moments of the raw series cancel catastrophically at a 1e8 offset
+    base = gen_null(300, 7)
+    shifted = TimeSeries(base.values + 1e8)
+    for name, select in (("bic", select_bic), ("mbic", select_mbic)):
+        fit, shifted_fit = select(base), select(shifted)
+        assert shifted_fit.config == fit.config
+        assert shifted_fit.rss == pytest.approx(fit.rss, rel=1e-9)
+        assert evaluate_fit(shifted, fit.config, name).rss == pytest.approx(
+            evaluate_fit(base, fit.config, name).rss, rel=1e-9
+        )
