@@ -9,6 +9,13 @@ Its square equals the residual-sum-of-squares reduction from fitting one mean
 on [s, b] and another on [b+1, e] instead of a single mean on [s, e], so the
 split maximizing the absolute statistic is the single best changepoint of the
 segment.
+
+Cost model of :func:`batch_max_cusum`: time is proportional to the number of
+(interval, split) entries it evaluates, and memory to its largest same-span
+block (rows x span entries), not to the batch; the flat pass holds fewer than
+``_BLOCK_MIN`` entries per span. WBS2 evaluates each topmost exhaustive
+segment's sub-intervals in one batch and reuses the results for that
+segment's exhaustive descendants.
 """
 
 from __future__ import annotations
@@ -48,18 +55,19 @@ def cusum_stat(series: TimeSeries, s: int, e: int, b: int) -> float:
     if not s <= b < e:
         raise ValueError(f"split must satisfy s <= b < e, got s={s}, b={b}, e={e}")
     p = prefix_sums(series.values)
-    return float(_contrast(p, s, e, np.array([b]))[0])
+    return float(_contrast(p, s, e - s + 1, np.array([b - s + 1]))[0])
 
 
-def _contrast(p: np.ndarray, s: int, e: int, b: np.ndarray) -> np.ndarray:
+def _contrast(p: np.ndarray, s, n, j) -> np.ndarray:
+    """Contrast of splitting the n observations starting at time s after the
+    first j of them (split b = s + j - 1); the arguments broadcast."""
     # weighted mean-difference form of the two-term statistic: algebraically
     # identical, but exact zero for segments with equal sample means
-    n = e - s + 1
-    left_n = b - s + 1
-    right_n = e - b
-    left_mean = (p[b] - p[s - 1]) / left_n
-    right_mean = (p[e] - p[b]) / right_n
-    return np.sqrt(left_n * right_n / n) * (left_mean - right_mean)
+    at_split = p[s + j - 1]
+    right_n = n - j
+    left_mean = (at_split - p[s - 1]) / j
+    right_mean = (p[s + n - 1] - at_split) / right_n
+    return np.sqrt(j * right_n / n) * (left_mean - right_mean)
 
 
 def max_cusum(series: TimeSeries, s: int, e: int) -> tuple[int, float]:
@@ -76,15 +84,14 @@ def max_cusum_from_sums(p: np.ndarray, s: int, e: int) -> tuple[int, float]:
     """As :func:`max_cusum`, reusing precomputed prefix sums."""
     if e - s < 1:
         raise ValueError(f"interval must contain at least one split, got s={s}, e={e}")
-    b = np.arange(s, e)
-    mags = np.abs(_contrast(p, s, e, b))
+    mags = np.abs(_contrast(p, s, e - s + 1, np.arange(1, e - s + 1)))
     idx = int(np.argmax(mags))
     return s + idx, float(mags[idx])
 
 
-# cap on flattened (interval, split) entries evaluated at once; keeps peak
-# memory bounded for long series with many intervals
-_BATCH_FLAT_LIMIT = 4_000_000
+# a same-span group of at least this many (interval, split) entries is
+# evaluated as one rows x span block; smaller groups share one flat pass
+_BLOCK_MIN = 256
 
 
 def batch_max_cusum(
@@ -92,51 +99,53 @@ def batch_max_cusum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximizing split and magnitude for many intervals at once.
 
-    ``starts``/``ends`` are 1-based with ends > starts. One flattened contrast
-    evaluation covers every admissible split of every interval; per-interval
-    argmaxes keep the smallest-b tie-break of :func:`max_cusum`.
+    ``starts``/``ends`` are 1-based with ends > starts. Intervals are grouped
+    by span; each group of at least ``_BLOCK_MIN`` entries is one 2-D block
+    over a single row of weights, and the rest share one flattened pass.
+    Either way an interval's result is the one :func:`max_cusum` gives,
+    smallest-b tie-break included.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    counts = ends - starts
-    if counts.size == 0:
+    n = np.asarray(ends, dtype=np.int64) - starts + 1
+    if n.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    if np.any(counts < 1):
+    if np.any(n < 2):
         raise ValueError("every interval needs end - start >= 1")
+    if int(n.sum()) - n.size < _BLOCK_MIN:
+        return _flat_max_cusum(p, starts, n)
 
-    if int(counts.sum()) > _BATCH_FLAT_LIMIT:
-        cuts = [0]
-        running = 0
-        for i, c in enumerate(counts):
-            running += int(c)
-            if running > _BATCH_FLAT_LIMIT and cuts[-1] < i:
-                cuts.append(i)
-                running = int(c)
-        cuts.append(counts.size)
-        parts = [
-            batch_max_cusum(p, starts[lo:hi], ends[lo:hi])
-            for lo, hi in zip(cuts[:-1], cuts[1:])
-        ]
-        return (
-            np.concatenate([bs for bs, _ in parts]),
-            np.concatenate([ms for _, ms in parts]),
-        )
+    splits = np.empty(n.size, dtype=np.int64)
+    mags = np.empty(n.size, dtype=np.float64)
+    order = np.argsort(n, kind="stable")
+    spans = n[order]
+    lo = np.concatenate(([0], np.flatnonzero(np.diff(spans)) + 1))
+    hi = np.append(lo[1:], n.size)
+    is_block = (hi - lo) * (spans[lo] - 1) >= _BLOCK_MIN
+    for a, z in zip(lo[is_block], hi[is_block]):
+        rows = order[a:z]
+        span = int(spans[a])
+        block = np.abs(_contrast(p, starts[rows, None], span, np.arange(1, span)))
+        first = np.argmax(block, axis=1)  # smallest b attaining the row max
+        splits[rows] = starts[rows] + first
+        mags[rows] = block[np.arange(rows.size), first]
+    rows = order[np.repeat(~is_block, hi - lo)]
+    if rows.size:
+        splits[rows], mags[rows] = _flat_max_cusum(p, starts[rows], n[rows])
+    return splits, mags
 
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = int(offsets[-1])
+
+def _flat_max_cusum(
+    p: np.ndarray, starts: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # every split of every interval in one flat array, reduced per interval
+    counts = n - 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    total = int(counts.sum())
     idx = np.arange(total)
-    seg = np.repeat(np.arange(counts.size), counts)
-    b = starts[seg] + (idx - offsets[:-1][seg])
-
-    n = (ends - starts + 1)[seg]
-    left_n = b - starts[seg] + 1
-    right_n = ends[seg] - b
-    left_mean = (p[b] - p[starts[seg] - 1]) / left_n
-    right_mean = (p[ends[seg]] - p[b]) / right_n
-    mags = np.abs(np.sqrt(left_n * right_n / n) * (left_mean - right_mean))
-
-    best = np.maximum.reduceat(mags, offsets[:-1])
+    j = idx - np.repeat(offsets - 1, counts)
+    mags = np.abs(_contrast(p, np.repeat(starts, counts), np.repeat(n, counts), j))
+    best = np.maximum.reduceat(mags, offsets)
     # first flat index attaining the per-interval max == smallest b
-    hit = np.where(mags == best[seg], idx, total)
-    first = np.minimum.reduceat(hit, offsets[:-1])
-    return b[first], best
+    hit = np.where(mags == np.repeat(best, counts), idx, total)
+    first = np.minimum.reduceat(hit, offsets)
+    return starts + (first - offsets), best

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ChangepointConfig
 
@@ -59,6 +58,10 @@ def min_assignment(cost: CostMatrix) -> AssignmentResult:
     m = cost.entries
     if m.size == 0:
         return AssignmentResult(pairs=(), total_cost=0.0)
+    # imported here: scipy.optimize is most of the package's import time, and
+    # only matching configurations needs it
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(m)
     pairs = tuple(zip((int(r) for r in rows), (int(c) for c in cols)))
     return AssignmentResult(pairs=pairs, total_cost=float(m[rows, cols].sum()))

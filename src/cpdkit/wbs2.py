@@ -82,6 +82,12 @@ def wbs2_candidates(
     evaluated exhaustively; larger segments get ``m_stage`` uniform random
     draws. The winner's argmax splits the segment and both halves recurse
     (left first, for a reproducible draw order) until length < 2.
+
+    The topmost exhaustive segment on a path evaluates all its sub-intervals
+    in one batch; its exhaustive descendants read theirs from that batch's
+    tables. This gives the same entries as one batch per segment: an
+    exhaustive subtree draws nothing, the stack finishes it before anything
+    else, and an interval's result does not depend on its batch.
     """
     if m_stage < 1:
         raise ValueError(f"m_stage must be positive, got {m_stage}")
@@ -90,6 +96,7 @@ def wbs2_candidates(
     dust = magnitude_floor(series.values)
 
     records: list[CandidateEntry] = []
+    root_s, root_e = 1, 0  # the current exhaustive root; none yet
     stack = [(1, len(series))]
     while stack:
         s, e = stack.pop()
@@ -98,11 +105,19 @@ def wbs2_candidates(
         span = e - s
         if span * (span + 1) // 2 <= m_stage:
             starts, ends = _all_interval_pairs(s, e)
+            if not root_s <= s < e <= root_e:
+                root_s, root_e = s, e
+                split_tab = np.zeros((span + 1, span + 1), dtype=np.int64)
+                mag_tab = np.zeros((span + 1, span + 1))
+                cells = (starts - s, ends - s)
+                split_tab[cells], mag_tab[cells] = batch_max_cusum(p, starts, ends)
+            splits = split_tab[starts - root_s, ends - root_s]
+            mags = mag_tab[starts - root_s, ends - root_s]
         else:
             starts, ends = sample_interval_pairs(rng, span + 1, m_stage, 1)
             starts = starts + (s - 1)
             ends = ends + (s - 1)
-        splits, mags = batch_max_cusum(p, starts, ends)
+            splits, mags = batch_max_cusum(p, starts, ends)
         k = int(np.argmax(mags))
         b = int(splits[k])
         mag = float(mags[k]) if mags[k] > dust else 0.0
@@ -150,11 +165,9 @@ def sdll_select(
     below = np.nonzero(mags < floor)[0]
     i0 = int(below[0]) + 1 if below.size else len(mags) + 1
 
-    ratios = np.empty(i0 - 1)
-    for i in range(1, i0):
-        nxt = mags[i] if i < len(mags) else floor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios[i - 1] = mags[i - 1] / nxt
+    # m_i / m_{i+1} for i < i0, with the low level after the last entry
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = mags[: i0 - 1] / np.append(mags, floor)[1:i0]
     ratios[np.isnan(ratios)] = -np.inf  # 0/0 pairs carry no drop information
     n_keep = int(np.argmax(ratios)) + 1
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cpdkit import TimeSeries, cusum_stat, max_cusum
-from cpdkit.cusum import batch_max_cusum, prefix_sums
+from cpdkit.cusum import batch_max_cusum, max_cusum_from_sums, prefix_sums
+from cpdkit.wbs import sample_interval_pairs
 
 
 def direct_cusum(values, s, e, b):
@@ -130,18 +132,43 @@ class TestBatchMaxCusum:
         assert bs.size == 0 and mags.size == 0
 
 
-def test_batch_chunking_matches_single_pass(monkeypatch):
-    # oversized batches are split; per-interval results must not change
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(300)
-    p = prefix_sums(x)
-    starts = rng.integers(1, 290, size=400)
-    ends = starts + rng.integers(1, 11, size=400)
-    one_pass = batch_max_cusum(p, starts, ends)
-
+@pytest.mark.parametrize("block_min", [1, 10**12], ids=["all-blocks", "all-flat"])
+@pytest.mark.parametrize("data", ["noise", "rounded", "offset"])
+def test_block_and_flat_paths_match_per_interval(monkeypatch, block_min, data):
+    # _BLOCK_MIN = 1 evaluates every same-span group as a block, 10**12 puts
+    # every interval in the flat pass; both must equal max_cusum_from_sums
+    # bit for bit, ties included
     import cpdkit.cusum as cusum_mod
 
-    monkeypatch.setattr(cusum_mod, "_BATCH_FLAT_LIMIT", 64)
-    chunked = batch_max_cusum(p, starts, ends)
-    assert np.array_equal(one_pass[0], chunked[0])
-    assert np.array_equal(one_pass[1], chunked[1])
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(300)
+    if data == "rounded":
+        x = np.round(x)
+    elif data == "offset":
+        x = x + 1e8
+    p = prefix_sums(x)
+    short_starts = rng.integers(1, 290, size=400)
+    long_starts, long_ends = sample_interval_pairs(rng, 300, 200)
+    starts = np.concatenate((short_starts, long_starts, [1, 1, 299]))
+    ends = np.concatenate((short_starts + rng.integers(1, 11, size=400), long_ends, [300, 2, 300]))
+
+    monkeypatch.setattr(cusum_mod, "_BLOCK_MIN", block_min)
+    bs, mags = batch_max_cusum(p, starts, ends)
+    expected = [max_cusum_from_sums(p, int(s), int(e)) for s, e in zip(starts, ends)]
+    assert bs.tolist() == [b for b, _ in expected]
+    assert mags.tolist() == [m for _, m in expected]
+
+
+def test_batch_memory_bounded_by_largest_block():
+    # WBS's 5000 draws at T=3000 hold about 5M (interval, split) entries; one
+    # flat evaluation of them traces over 300 MB, a same-span block about 1 MB
+    x = np.random.default_rng(6).standard_normal(3000)
+    p = prefix_sums(x)
+    starts, ends = sample_interval_pairs(np.random.default_rng(7), 3000, 5000)
+    tracemalloc.start()
+    try:
+        batch_max_cusum(p, starts, ends)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

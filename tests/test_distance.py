@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,3 +113,16 @@ def _random_config(rng, n, max_count=6):
     m = int(rng.integers(0, max_count + 1))
     times = rng.choice(np.arange(2, n + 1), size=m, replace=False)
     return ChangepointConfig.from_times(times.tolist(), n)
+
+
+def test_cli_import_leaves_assignment_solver_unloaded():
+    # scipy.optimize dominates the import time of cpdkit.cli, and detection
+    # never matches configurations; min_assignment imports it on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = "import sys, cpdkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

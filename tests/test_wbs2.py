@@ -15,6 +15,8 @@ from cpdkit import (
     wbs2_sdll_detect,
 )
 from cpdkit.core import mad_sigma
+from cpdkit.cusum import batch_max_cusum, magnitude_floor, prefix_sums
+from cpdkit.wbs import sample_interval_pairs
 
 
 def make_candidates(magnitudes, n_obs=50):
@@ -23,6 +25,35 @@ def make_candidates(magnitudes, n_obs=50):
         for i, m in enumerate(magnitudes)
     )
     return SortedCandidateList(entries=entries, series_length=n_obs)
+
+
+def reference_candidates(series, m_stage, seed):
+    """wbs2_candidates with one batch_max_cusum call at every stage and the
+    exhaustive pairs listed row-major by a comprehension."""
+    rng = np.random.default_rng(seed)
+    p = prefix_sums(series.values)
+    dust = magnitude_floor(series.values)
+    records = []
+    stack = [(1, len(series))]
+    while stack:
+        s, e = stack.pop()
+        if e - s < 1:
+            continue
+        span = e - s
+        if span * (span + 1) // 2 <= m_stage:
+            pairs = [(a, c) for a in range(s, e) for c in range(a + 1, e + 1)]
+            starts, ends = (np.array(col) for col in zip(*pairs))
+        else:
+            starts, ends = sample_interval_pairs(rng, span + 1, m_stage, 1)
+            starts, ends = starts + (s - 1), ends + (s - 1)
+        splits, mags = batch_max_cusum(p, starts, ends)
+        k = int(np.argmax(mags))
+        b = int(splits[k])
+        mag = float(mags[k]) if mags[k] > dust else 0.0
+        records.append((int(starts[k]), int(ends[k]), b, mag))
+        stack.append((b + 1, e))
+        stack.append((s, b))
+    return sorted(records, key=lambda r: -r[3])
 
 
 def gate_sigma(zeta, lam, n_obs):
@@ -80,6 +111,19 @@ class TestWbs2Candidates:
         mags = wbs2_candidates(s, seed=6).magnitudes()
         assert all(a >= b for a, b in zip(mags, mags[1:]))
 
+    @pytest.mark.parametrize("m_stage", [1, 3, 10, 100, 1000])
+    @pytest.mark.parametrize("n_obs", [2, 3, 17, 300])
+    def test_matches_one_batch_per_stage(self, m_stage, n_obs):
+        # exhaustive descendants read their ancestor's batch; the entries must
+        # equal a recursion that evaluates every stage on its own
+        for rounded in (False, True):
+            x = np.random.default_rng(n_obs + m_stage).standard_normal(n_obs)
+            if rounded:
+                x = np.round(x)
+            got = wbs2_candidates(TimeSeries(x), m_stage, seed=m_stage)
+            entries = [(c.start, c.end, c.location, c.magnitude) for c in got.entries]
+            assert entries == reference_candidates(TimeSeries(x), m_stage, m_stage)
+
 
 class TestSdllSelect:
     def test_all_below_gate_empty(self):
@@ -103,6 +147,41 @@ class TestSdllSelect:
     def test_empty_candidates(self):
         empty = SortedCandidateList(entries=(), series_length=50)
         assert sdll_select(empty, sigma_hat=1.0).times == ()
+
+    def test_zero_gate_zero_over_zero_and_trailing_floor(self):
+        # sigma_hat 0 puts gate and low level at 0: the ratios are 3/1, 1/0,
+        # 0/0 and, with the low level as the last divisor, 0/0 again; the 0/0
+        # pairs carry no drop, so the count is 2
+        cands = make_candidates([3.0, 1.0, 0.0, 0.0])
+        assert sdll_select(cands, sigma_hat=0.0).count == 2
+        # the trailing divisor alone: 4/2, 2/2, then 2 over the low level 0
+        assert sdll_select(make_candidates([4.0, 2.0, 2.0]), sigma_hat=0.0).count == 3
+
+    def test_matches_per_entry_ratio_loop(self):
+        # the ratios are one array division; the per-entry loop it replaced
+        # is the reference, zero gates and zero magnitudes included
+        rng = np.random.default_rng(33)
+        for i in range(300):
+            mags = np.sort(rng.exponential(2.0, size=int(rng.integers(1, 12))))[::-1]
+            if i % 3 == 0:
+                mags = np.round(mags)
+            sigma = float(rng.choice([0.0, 0.05, 0.3, 1.0]))
+            floor_mult = float(rng.choice([0.1, 0.3, 1.0]))
+            zeta = 1.3 * math.sqrt(2 * math.log(50)) * sigma
+            expected = 0
+            if mags[0] > zeta:
+                floor = floor_mult * zeta
+                ratios = []
+                for k in range(len(mags)):
+                    if mags[k] < floor:
+                        break
+                    nxt = mags[k + 1] if k + 1 < len(mags) else floor
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ratio = mags[k] / nxt
+                    ratios.append(-np.inf if np.isnan(ratio) else ratio)
+                expected = int(np.argmax(ratios)) + 1
+            got = sdll_select(make_candidates(mags.tolist()), sigma, 1.3, floor_mult)
+            assert got.count == expected
 
     def test_count_bounded_by_first_below_floor(self):
         rng = np.random.default_rng(31)
