@@ -155,6 +155,8 @@ def mad_sigma(series: TimeSeries) -> float:
 def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
     """Detection threshold c * sqrt(2 ln T) * sigma_hat used by the
     threshold-based detectors."""
+    if c < 0:
+        raise ValueError(f"threshold constant c must be non-negative, got {c}")
     return c * math.sqrt(2.0 * math.log(len(series))) * mad_sigma(series)
 
 

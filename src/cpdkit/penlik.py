@@ -7,10 +7,13 @@ evaluated across counts. A binary-chromosome genetic algorithm optimizes the
 same objectives directly, and a refinement step restricts the search to
 subsets of an externally supplied candidate list.
 
-With the variance unknown, the likelihood term (T/2) ln(rss/T) diverges as
-rss -> 0, so the search space is constrained by ``min_seg`` (default 2) and a
-cap on m; perfect fits (rss = 0) are resolved by parsimony: the smallest
-count reaching rss = 0 wins and the fit is flagged degenerate.
+All of these score changepoint times through one objective, so they share
+one rule for perfect fits. With the variance unknown, the likelihood term
+(T/2) ln(rss/T) diverges as rss -> 0, so the search space is constrained by
+``min_seg`` (default 2) and a cap on m, and a fit whose RSS is within
+``_ZERO_RSS_RTOL * max(1, null-model RSS)`` counts as perfect: its objective
+is -inf, it is flagged degenerate, and among perfect fits the smallest count
+wins.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +37,11 @@ PENALTIES = ("bic", "mbic")
 
 @dataclass(frozen=True)
 class PenalizedFit:
-    """A configuration with its objective under a named penalty."""
+    """A configuration with its objective under a named penalty.
+
+    ``degenerate`` marks a perfect fit, one whose RSS is within
+    ``_ZERO_RSS_RTOL * max(1, null-model RSS)``; its objective is -inf.
+    """
 
     config: ChangepointConfig
     objective: float
@@ -66,14 +74,11 @@ def _prefix_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix_sums(centered), prefix_sums(centered * centered)
 
 
-def _segment_rss(
-    s: np.ndarray, ss: np.ndarray, bounds: np.ndarray, lengths: np.ndarray
-) -> float:
-    """Summed within-segment RSS for segments (bounds[i], bounds[i+1]] in
-    prefix indices, with lengths = np.diff(bounds)."""
-    seg_s = s[bounds[1:]] - s[bounds[:-1]]
-    seg_ss = ss[bounds[1:]] - ss[bounds[:-1]]
-    return float(np.sum(np.maximum(seg_ss - seg_s**2 / lengths, 0.0)))
+def _segment_cost(s: np.ndarray, ss: np.ndarray, u, t) -> np.ndarray:
+    """RSS of one mean over observations u+1..t (prefix indices), for index
+    arrays u and t broadcast against each other; clipped at 0 against
+    cancellation on near-perfect fits."""
+    return np.maximum((ss[t] - ss[u]) - (s[t] - s[u]) ** 2 / (t - u), 0.0)
 
 
 # columns of the segment-cost matrix built at once; working memory is a few
@@ -85,13 +90,11 @@ def _cost_columns(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int)
     """cost[u, t - lo] = RSS of one mean over observations u+1..t (prefix
     indices) for rows u < hi and columns t in [lo, hi), inf where the segment
     is shorter than min_seg (so for every u >= t)."""
-    t = np.arange(lo, hi)
-    u = np.arange(hi)
-    lengths = t[None, :] - u[:, None]
+    t = np.arange(lo, hi)[None, :]
+    u = np.arange(hi)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cost = (ss[t][None, :] - ss[u][:, None]) - (s[t][None, :] - s[u][:, None]) ** 2 / lengths
-    cost = np.maximum(cost, 0.0)  # guard cancellation on near-perfect fits
-    cost[lengths < min_seg] = np.inf
+        cost = _segment_cost(s, ss, u, t)
+    cost[u > t - min_seg] = np.inf
     return cost
 
 
@@ -169,49 +172,82 @@ def mbic_objective(rss: float, n_obs: int, segment_lengths) -> float:
     )
 
 
-def _objective_for(penalty_name: str, rss: float, n_obs: int, segment_lengths) -> float:
-    if penalty_name == "bic":
-        return bic_objective(rss, n_obs, len(segment_lengths) - 1)
-    if penalty_name == "mbic":
-        return mbic_objective(rss, n_obs, segment_lengths)
-    raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
+class _Objective:
+    """BIC or mBIC of changepoint times on one series, with the zero-RSS
+    tolerance every penalized path shares.
+
+    For search, ``key`` scores infeasible times (a segment shorter than
+    min_seg, or more than m_max changepoints) +inf and ranks perfect fits by
+    parsimony through the (objective, count) key.
+    """
+
+    def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
+        if penalty_name not in PENALTIES:
+            raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
+        self.n = len(series)
+        self.penalty_name = penalty_name
+        self.min_seg = min_seg
+        self.m_max = default_m_max(self.n, min_seg)
+        self.s, self.ss = _prefix_moments(series.values)
+        self.zero_tol = _ZERO_RSS_RTOL * max(1.0, self._rss(self._bounds(())))
+
+    def _bounds(self, times) -> np.ndarray:
+        """Prefix indices 0, t_1 - 1, ..., t_m - 1, T delimiting the segments."""
+        return np.subtract((1, *times, self.n + 1), 1)
+
+    def _rss(self, bounds: np.ndarray) -> float:
+        return float(np.sum(_segment_cost(self.s, self.ss, bounds[:-1], bounds[1:])))
+
+    def value(self, rss: float, segment_lengths) -> float:
+        if rss <= self.zero_tol:
+            return -math.inf
+        if self.penalty_name == "bic":
+            return bic_objective(rss, self.n, len(segment_lengths) - 1)
+        return mbic_objective(rss, self.n, segment_lengths)
+
+    def key(self, times) -> tuple[float, int]:
+        m = len(times)
+        if m <= self.m_max:
+            bounds = self._bounds(times)
+            lengths = np.diff(bounds)
+            if lengths.min() >= self.min_seg:
+                return (self.value(self._rss(bounds), lengths.tolist()), m)
+        return (math.inf, m)
+
+    def fit(self, times, rss: float | None = None) -> PenalizedFit:
+        """The fit of the given times; ``rss`` passes an RSS already known."""
+        config = ChangepointConfig.from_times(times, self.n)
+        if rss is None:
+            rss = self._rss(self._bounds(config.times))
+        return PenalizedFit(
+            config=config,
+            objective=self.value(rss, config.segment_lengths()),
+            penalty_name=self.penalty_name,
+            rss=rss,
+            degenerate=rss <= self.zero_tol,
+        )
 
 
 def evaluate_fit(series: TimeSeries, config: ChangepointConfig, penalty_name: str) -> PenalizedFit:
     """Objective and RSS of a given configuration (no optimization)."""
-    s, ss = _prefix_moments(series.values)
-    return evaluate_fit_from_moments(s, ss, len(series), config, penalty_name)
+    if config.series_length != len(series):
+        raise ValueError(
+            f"configuration is for length {config.series_length}, series has {len(series)}"
+        )
+    return _Objective(series, penalty_name).fit(config.times)
 
 
 def _select_penalized(series: TimeSeries, penalty_name: str, min_seg: int) -> PenalizedFit:
     n = len(series)
     if n < 6:
         raise ValueError(f"need at least 6 observations, got {n}")
-    table = segment_rss_table(series, default_m_max(n, min_seg), min_seg)
-    zero_tol = _ZERO_RSS_RTOL * max(1.0, table.rss[0])
-
-    best_key = None
-    best: PenalizedFit | None = None
-    for m in range(table.m_max + 1):
-        rss = table.rss[m]
-        config = table.config(m)
-        degenerate = rss <= zero_tol
-        objective = (
-            -math.inf
-            if degenerate
-            else _objective_for(penalty_name, rss, n, config.segment_lengths())
-        )
-        key = (objective, m)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = PenalizedFit(
-                config=config,
-                objective=objective,
-                penalty_name=penalty_name,
-                rss=rss,
-                degenerate=degenerate,
-            )
-    return best
+    objective = _Objective(series, penalty_name, min_seg)
+    table = segment_rss_table(series, objective.m_max, min_seg)
+    best = min(
+        range(table.m_max + 1),
+        key=lambda m: (objective.value(table.rss[m], table.config(m).segment_lengths()), m),
+    )
+    return objective.fit(table.configs[best], table.rss[best])
 
 
 def select_bic(series: TimeSeries, min_seg: int = 2) -> PenalizedFit:
@@ -240,74 +276,19 @@ class GaParams:
     init_density: float = 0.5
 
 
-class _SubsetObjective:
-    """Fitness of a bit vector selecting changepoint times from a fixed pool.
-
-    Infeasible selections (a segment shorter than min_seg, or more than m_max
-    changepoints) score +inf; perfect fits score -inf and are ranked by
-    parsimony through the (objective, count) key.
-    """
-
-    def __init__(self, series: TimeSeries, times_pool: np.ndarray, penalty_name: str,
-                 min_seg: int = 2):
-        if penalty_name not in PENALTIES:
-            raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
-        self.n = len(series)
-        self.pool = times_pool
-        self.penalty_name = penalty_name
-        self.min_seg = min_seg
-        self.m_max = default_m_max(self.n, min_seg)
-        self.s, self.ss = _prefix_moments(series.values)
-
-    def key(self, bits: np.ndarray) -> tuple[float, int]:
-        times = self.pool[bits.astype(bool)]
-        m = times.size
-        if m > self.m_max:
-            return (math.inf, m)
-        bounds = np.concatenate(([0], times - 1, [self.n]))
-        lengths = np.diff(bounds)
-        if np.any(lengths < self.min_seg):
-            return (math.inf, m)
-        rss = _segment_rss(self.s, self.ss, bounds, lengths)
-        return (_objective_for(self.penalty_name, rss, self.n, lengths.tolist()), m)
-
-    def fit(self, bits: np.ndarray) -> PenalizedFit:
-        times = self.pool[bits.astype(bool)]
-        config = ChangepointConfig.from_times(times.tolist(), self.n)
-        return evaluate_fit_from_moments(
-            self.s, self.ss, self.n, config, self.penalty_name
-        )
-
-
-def evaluate_fit_from_moments(
-    s: np.ndarray, ss: np.ndarray, n: int, config: ChangepointConfig, penalty_name: str
-) -> PenalizedFit:
-    bounds = np.array([0] + [t - 1 for t in config.times] + [n])
-    lengths = np.diff(bounds)
-    rss = _segment_rss(s, ss, bounds, lengths)
-    objective = _objective_for(penalty_name, rss, n, lengths.tolist())
-    return PenalizedFit(
-        config=config,
-        objective=objective,
-        penalty_name=penalty_name,
-        rss=rss,
-        degenerate=rss <= 0,
-    )
-
-
 def _ga_minimize(
-    objective: _SubsetObjective,
+    key: Callable[[np.ndarray], tuple[float, int]],
     n_bits: int,
     params: GaParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Generic binary GA; returns the best bit vector found."""
+    """Generic binary GA minimizing ``key``; returns the best bit vector found."""
     pop_size = max(1, params.population)
     mut = params.mutation_rate if params.mutation_rate is not None else 1.0 / max(1, n_bits)
 
     population = (rng.random((pop_size, n_bits)) < params.init_density).astype(np.int8)
     population[0, :] = 0  # always anchor the null model
-    keys = [objective.key(ind) for ind in population]
+    keys = [key(ind) for ind in population]
 
     best_idx = min(range(pop_size), key=lambda i: keys[i])
     best_bits = population[best_idx].copy()
@@ -335,13 +316,26 @@ def _ga_minimize(
                     children.append(child)
 
         population = np.array(children, dtype=np.int8)
-        keys = [objective.key(ind) for ind in population]
+        keys = [key(ind) for ind in population]
         gen_best = min(range(pop_size), key=lambda i: keys[i])
         if keys[gen_best] < best_key:
             best_key = keys[gen_best]
             best_bits = population[gen_best].copy()
 
     return best_bits
+
+
+def _ga_search(
+    objective: _Objective, pool: np.ndarray, ga_params: GaParams | None, seed: Seed
+) -> PenalizedFit:
+    """GA over bit vectors selecting changepoint times from ``pool``."""
+    best = _ga_minimize(
+        lambda bits: objective.key(pool[bits.astype(bool)]),
+        pool.size,
+        ga_params or GaParams(),
+        np.random.default_rng(seed),
+    )
+    return objective.fit(pool[best.astype(bool)])
 
 
 def ga_optimize(
@@ -360,12 +354,8 @@ def ga_optimize(
     n = len(series)
     if n < 6:
         raise ValueError(f"need at least 6 observations, got {n}")
-    params = ga_params or GaParams()
-    pool = np.arange(2, n + 1)
-    objective = _SubsetObjective(series, pool, penalty_name, min_seg)
-    rng = np.random.default_rng(seed)
-    best = _ga_minimize(objective, pool.size, params, rng)
-    return objective.fit(best)
+    objective = _Objective(series, penalty_name, min_seg)
+    return _ga_search(objective, np.arange(2, n + 1), ga_params, seed)
 
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
@@ -381,29 +371,20 @@ def hybrid_refine(
 ) -> PenalizedFit:
     """Best penalized fit over subsets of a candidate list's changepoint times.
 
-    Exhaustive below EXHAUSTIVE_CANDIDATE_LIMIT candidates, genetic search
-    above; infeasible subsets are skipped. An empty candidate list yields the
-    null fit.
+    Exhaustive up to EXHAUSTIVE_CANDIDATE_LIMIT candidates, over subsets in
+    size-then-lexicographic order with the first minimum winning; genetic
+    search above. Infeasible subsets are skipped; an empty candidate list
+    yields the null fit.
     """
-    pool = np.array(sorted({e.changepoint_time for e in candidates.entries}), dtype=np.int64)
-    objective = _SubsetObjective(series, pool, penalty_name, min_seg)
-    if pool.size == 0:
-        return objective.fit(np.zeros(0, dtype=np.int8))
-
-    if pool.size <= EXHAUSTIVE_CANDIDATE_LIMIT:
-        best_bits = np.zeros(pool.size, dtype=np.int8)
-        best_key = objective.key(best_bits)
-        for size in range(1, pool.size + 1):
-            for combo in itertools.combinations(range(pool.size), size):
-                bits = np.zeros(pool.size, dtype=np.int8)
-                bits[list(combo)] = 1
-                key = objective.key(bits)
-                if key < best_key:
-                    best_key = key
-                    best_bits = bits
-        return objective.fit(best_bits)
-
-    params = ga_params or GaParams()
-    rng = np.random.default_rng(seed)
-    best = _ga_minimize(objective, pool.size, params, rng)
-    return objective.fit(best)
+    if candidates.series_length != len(series):
+        raise ValueError(
+            f"candidates are for length {candidates.series_length}, series has {len(series)}"
+        )
+    objective = _Objective(series, penalty_name, min_seg)
+    pool = sorted({e.changepoint_time for e in candidates.entries})
+    if len(pool) > EXHAUSTIVE_CANDIDATE_LIMIT:
+        return _ga_search(objective, np.array(pool, dtype=np.int64), ga_params, seed)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(pool, size) for size in range(len(pool) + 1)
+    )
+    return objective.fit(min(subsets, key=objective.key))

@@ -50,6 +50,8 @@ def wbs_detect(
     interval's argmax. With ``m_intervals=0`` this reduces exactly to plain
     binary segmentation at the same threshold.
     """
+    if m_intervals < 0:
+        raise ValueError(f"m_intervals must be non-negative, got {m_intervals}")
     n_obs = len(series)
     threshold = max(universal_threshold(series, c), magnitude_floor(series.values))
     p = prefix_sums(series.values)

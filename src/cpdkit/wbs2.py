@@ -149,6 +149,8 @@ def sdll_select(
     """
     if sigma_hat < 0:
         raise ValueError(f"sigma_hat must be non-negative, got {sigma_hat}")
+    if lam < 0:
+        raise ValueError(f"lam must be non-negative, got {lam}")
     if not 0.0 < floor_mult <= 1.0:
         raise ValueError(f"floor_mult must be in (0, 1], got {floor_mult}")
     n_obs = candidates.series_length

@@ -54,6 +54,12 @@ class TestDetect:
         src.write_text("1.0\n2.0\n")
         assert main(["detect", str(src), "--method", "pelt"]) == 4
 
+    def test_negative_threshold_constant_exit_4(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_step_csv(src)
+        assert main(["detect", str(src), "--method", "wbs", "--threshold-c", "-1"]) == 4
+        assert "non-negative" in capsys.readouterr().err
+
     def test_out_file_and_determinism(self, tmp_path):
         src = tmp_path / "n.csv"
         rng = np.random.default_rng(0)

@@ -234,6 +234,15 @@ def _candidates_from_times(times, n):
 
 
 class TestHybridRefine:
+    def test_rejects_other_series_length(self):
+        # a mismatched length was evaluated silently; out-of-range candidate
+        # times were dropped as infeasible subsets
+        series = gen_null(60, 1)
+        with pytest.raises(ValueError, match="length 100"):
+            hybrid_refine(series, _candidates_from_times((30, 80), 100), "bic")
+        with pytest.raises(ValueError, match="length 100"):
+            evaluate_fit(series, ChangepointConfig.from_times((30,), 100), "bic")
+
     def test_empty_candidates(self):
         empty = SortedCandidateList(entries=(), series_length=60)
         fit = hybrid_refine(gen_null(60, 11), empty, "bic")
@@ -352,3 +361,88 @@ def test_large_offset_leaves_penalized_fit_unchanged():
         assert evaluate_fit(shifted, fit.config, name).rss == pytest.approx(
             evaluate_fit(base, fit.config, name).rss, rel=1e-9
         )
+
+
+def test_near_perfect_fit_gets_one_rule_on_every_path():
+    # the two means are not exact in binary, so the best one-changepoint RSS
+    # is rounding residue (about 4e-15), not 0: every penalized path treats it
+    # as a perfect fit within 1e-12 * max(1, null RSS)
+    series = TimeSeries([1000.1] * 30 + [1000.7] * 30)
+    config = ChangepointConfig.from_times((31,), 60)
+    ranked = wbs2_candidates(series, seed=1)
+    top = SortedCandidateList(entries=ranked.entries[:10], series_length=60)
+    for name, select in (("bic", select_bic), ("mbic", select_mbic)):
+        fits = [
+            select(series),
+            evaluate_fit(series, config, name),
+            ga_optimize(series, name, seed=1),
+            hybrid_refine(series, top, name),
+        ]
+        assert 0.0 < fits[0].rss < 1e-12
+        for fit in fits:
+            assert (fit.config, fit.objective, fit.degenerate) == (config, -math.inf, True)
+            assert fit.rss == fits[0].rss
+
+
+def _bit_vector_exhaustive(series, pool, penalty_name, min_seg):
+    """Reference exhaustive refinement: one bit vector per subset, in size then
+    lexicographic order, replacing the best only on a strictly smaller key."""
+    objective = penlik._Objective(series, penalty_name, min_seg)
+    pool = np.array(pool, dtype=np.int64)
+    if pool.size == 0:
+        return objective.fit(pool)
+    best_bits = np.zeros(pool.size, dtype=np.int8)
+    best_key = objective.key(pool[best_bits.astype(bool)])
+    for size in range(1, pool.size + 1):
+        for combo in itertools.combinations(range(pool.size), size):
+            bits = np.zeros(pool.size, dtype=np.int8)
+            bits[list(combo)] = 1
+            key = objective.key(pool[bits.astype(bool)])
+            if key < best_key:
+                best_key = key
+                best_bits = bits
+    return objective.fit(pool[best_bits.astype(bool)])
+
+
+def test_exhaustive_refine_matches_bit_vector_reference():
+    # pools are drawn from a narrow window, so adjacent candidates make
+    # subsets infeasible under min_seg 2 and 3; rounded and constant series
+    # make exact ties between subsets
+    rng = np.random.default_rng(41)
+    cases = [(int(rng.integers(0, 13)), int(rng.integers(24, 80))) for _ in range(16)]
+    cases += [(0, 30), (penlik.EXHAUSTIVE_CANDIDATE_LIMIT, 24)]
+    for i, (k, n) in enumerate(cases):
+        noise = gen_null(n, 900 + i).values
+        kinds = {
+            "noise": noise,
+            "rounded": np.round(noise),
+            "constant": np.full(n, 1.5),
+        }
+        lo = int(rng.integers(2, max(3, n + 1 - 2 * k)))
+        window = np.arange(lo, min(n, lo + 2 * k) + 1)
+        pool = sorted(rng.choice(window, size=k, replace=False).tolist())
+        for (kind, values), min_seg, name in itertools.product(
+            kinds.items(), (2, 3), ("bic", "mbic")
+        ):
+            if k == penlik.EXHAUSTIVE_CANDIDATE_LIMIT and (kind, min_seg, name) != (
+                "constant", 3, "bic"
+            ):
+                continue  # 2**20 subsets: one case, every feasible subset scoring -inf
+            series = TimeSeries(values)
+            expected = _bit_vector_exhaustive(series, pool, name, min_seg)
+            fit = hybrid_refine(series, _candidates_from_times(tuple(pool), n), name,
+                                min_seg=min_seg)
+            assert fit == expected, (kind, min_seg, name, pool)
+
+    # an exact tie at the optimum: under min_seg 3 the spike at 16..17 cannot
+    # be isolated, and (15, 18) and (16, 19) fit it equally well; the first
+    # in lexicographic order wins
+    spike = TimeSeries([0.0] * 15 + [5.0, 5.0] + [0.0] * 15)
+    pool = list(range(13, 22))
+    for name in ("bic", "mbic"):
+        objective = penlik._Objective(spike, name, 3)
+        assert objective.key((15, 18)) == objective.key((16, 19))
+        expected = _bit_vector_exhaustive(spike, pool, name, 3)
+        fit = hybrid_refine(spike, _candidates_from_times(tuple(pool), 32), name, min_seg=3)
+        assert fit == expected
+        assert fit.config.times == (15, 18)

@@ -58,6 +58,19 @@ class TestWbsDetect:
         s = TimeSeries([0.0] * 50 + [5.0] * 50)
         assert wbs_detect(s, c=1.3, seed=4).times == (51,)
 
+    def test_rejects_negative_constants(self):
+        # c = -1 once gave 199 changepoints on noise; m_intervals = -5 acted as 0
+        s = gen_null(200, 1)
+        with pytest.raises(ValueError, match="c must be non-negative"):
+            wbs_detect(s, c=-1.0)
+        with pytest.raises(ValueError, match="c must be non-negative"):
+            binary_segmentation(s, c=-1.0)
+        with pytest.raises(ValueError, match="c must be non-negative"):
+            universal_threshold(s, -0.5)
+        with pytest.raises(ValueError, match="m_intervals"):
+            wbs_detect(s, m_intervals=-5)
+        assert universal_threshold(s, 0.0) == 0.0
+
     def test_determinism(self):
         s = gen_null(200, 17)
         a = wbs_detect(s, seed=5)

@@ -148,6 +148,13 @@ class TestSdllSelect:
         empty = SortedCandidateList(entries=(), series_length=50)
         assert sdll_select(empty, sigma_hat=1.0).times == ()
 
+    def test_rejects_negative_lambda(self):
+        # lam = -1 once put the gate below zero: 198 changepoints on noise
+        with pytest.raises(ValueError, match="lam"):
+            sdll_select(make_candidates([10.0, 1.0]), sigma_hat=1.0, lam=-1.0)
+        with pytest.raises(ValueError, match="lam"):
+            wbs2_sdll_detect(gen_null(200, 1), lam=-1.0)
+
     def test_zero_gate_zero_over_zero_and_trailing_floor(self):
         # sigma_hat 0 puts gate and low level at 0: the ratios are 3/1, 1/0,
         # 0/0 and, with the low level as the last divisor, 0/0 again; the 0/0
