@@ -149,6 +149,8 @@ def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_param
             raise _unknown_method(m)
     if n_reps < 1:
         raise ValueError(f"n_reps must be positive, got {n_reps}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be positive, got {n_jobs}")
     for length in lengths:
         if length < 10:
             raise ValueError(f"series lengths below 10 are not supported, got {length}")

@@ -22,7 +22,7 @@ from .bench import (
     run_signal_study,
     write_csv,
 )
-from .core import ChangepointConfig, TimeSeries, mad_sigma, segment_means, universal_threshold
+from .core import ChangepointConfig, TimeSeries, mad_sigma, segment_means, threshold_level
 from .distance import config_distance
 
 EXIT_OK = 0
@@ -149,7 +149,7 @@ def cmd_detect(args) -> int:
     else:
         config = run_method(args.method, series, args.seed, params)
         c = args.sdll_lambda if args.method == "wbs2-sdll" else args.threshold_c
-        result["threshold"] = universal_threshold(series, c)
+        result["threshold"] = threshold_level(c, len(series), result["sigma_hat"])
     result["n_changepoints"] = config.count
     result["changepoints"] = list(config.times)
     result["segment_means"] = segment_means(series, config)

@@ -152,12 +152,17 @@ def mad_sigma(series: TimeSeries) -> float:
     return float(np.median(diffs) / _MAD_DENOM)
 
 
+def threshold_level(c: float, n_obs: int, sigma_hat: float) -> float:
+    """The noise level c * sqrt(2 ln T) * sigma_hat: the threshold of binary
+    segmentation and WBS and the gate of steepest-drop selection."""
+    return c * math.sqrt(2.0 * math.log(n_obs)) * sigma_hat
+
+
 def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
-    """Detection threshold c * sqrt(2 ln T) * sigma_hat used by the
-    threshold-based detectors."""
+    """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
     if c < 0:
         raise ValueError(f"threshold constant c must be non-negative, got {c}")
-    return c * math.sqrt(2.0 * math.log(len(series))) * mad_sigma(series)
+    return threshold_level(c, len(series), mad_sigma(series))
 
 
 def segment_means(series: TimeSeries, config: ChangepointConfig) -> list[float]:

@@ -11,9 +11,10 @@ All of these score changepoint times through one objective, so they share
 one rule for perfect fits. With the variance unknown, the likelihood term
 (T/2) ln(rss/T) diverges as rss -> 0, so the search space is constrained by
 ``min_seg`` (default 2) and a cap on m, and a fit whose RSS is within
-``_ZERO_RSS_RTOL * max(1, null-model RSS)`` counts as perfect: its objective
-is -inf, it is flagged degenerate, and among perfect fits the smallest count
-wins.
+``_ZERO_RSS_RTOL * null-model RSS`` counts as perfect: its objective is -inf,
+it is flagged degenerate, and among perfect fits the smallest count wins. The
+rule is relative, so rescaling the series leaves the fit unchanged, and a
+constant series (null RSS 0) is a perfect fit at m = 0.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class PenalizedFit:
     """A configuration with its objective under a named penalty.
 
     ``degenerate`` marks a perfect fit, one whose RSS is within
-    ``_ZERO_RSS_RTOL * max(1, null-model RSS)``; its objective is -inf.
+    ``_ZERO_RSS_RTOL * null-model RSS``; its objective is -inf.
     """
 
     config: ChangepointConfig
@@ -189,7 +190,7 @@ class _Objective:
         self.min_seg = min_seg
         self.m_max = default_m_max(self.n, min_seg)
         self.s, self.ss = _prefix_moments(series.values)
-        self.zero_tol = _ZERO_RSS_RTOL * max(1.0, self._rss(self._bounds(())))
+        self.zero_tol = _ZERO_RSS_RTOL * self._rss(self._bounds(()))
 
     def _bounds(self, times) -> np.ndarray:
         """Prefix indices 0, t_1 - 1, ..., t_m - 1, T delimiting the segments."""

@@ -3,12 +3,11 @@ threshold-based selection of the strongest contained CUSUM."""
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from .binseg import split_recursively
 from .core import ChangepointConfig, Seed, TimeSeries, universal_threshold
-from .cusum import batch_max_cusum, magnitude_floor, max_cusum_from_sums, prefix_sums
+from .cusum import batch_max_cusum, prefix_sums
 
 
 def sample_interval_pairs(
@@ -44,40 +43,18 @@ def wbs_detect(
 ) -> ChangepointConfig:
     """Wild binary segmentation with threshold c * sqrt(2 ln T) * sigma_hat.
 
-    The maximal CUSUM of each random interval is precomputed once; on each
-    recursion segment the best fully contained interval competes with the
-    segment itself, and a detection splits the segment at the winning
-    interval's argmax. With ``m_intervals=0`` this reduces exactly to plain
-    binary segmentation at the same threshold.
+    The maximal CUSUM of each random interval is computed once; binary
+    segmentation's recursion then lets the strongest interval inside each
+    segment compete with the segment itself. With ``m_intervals=0`` this is
+    plain binary segmentation at the same threshold.
     """
     if m_intervals < 0:
         raise ValueError(f"m_intervals must be non-negative, got {m_intervals}")
-    n_obs = len(series)
-    threshold = max(universal_threshold(series, c), magnitude_floor(series.values))
+    threshold = universal_threshold(series, c)
     p = prefix_sums(series.values)
-
+    intervals = None
     if m_intervals > 0:
         rng = np.random.default_rng(seed)
-        starts, ends = sample_interval_pairs(rng, n_obs, m_intervals, min_span)
-        splits, mags = batch_max_cusum(p, starts, ends)
-    else:
-        starts = ends = splits = np.empty(0, dtype=np.int64)
-        mags = np.empty(0, dtype=np.float64)
-
-    found: list[int] = []
-    segments = deque([(1, n_obs)])
-    while segments:
-        s, e = segments.popleft()
-        if e - s < 1:
-            continue
-        best_b, best_mag = max_cusum_from_sums(p, s, e)
-        inside = np.nonzero((starts >= s) & (ends <= e))[0]
-        if inside.size:
-            k = inside[int(np.argmax(mags[inside]))]
-            if mags[k] > best_mag:
-                best_b, best_mag = int(splits[k]), float(mags[k])
-        if best_mag > threshold:
-            found.append(best_b + 1)
-            segments.append((s, best_b))
-            segments.append((best_b + 1, e))
-    return ChangepointConfig.from_times(found, n_obs)
+        starts, ends = sample_interval_pairs(rng, len(series), m_intervals, min_span)
+        intervals = (starts, ends, *batch_max_cusum(p, starts, ends))
+    return split_recursively(series, p, threshold, intervals=intervals)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangepointConfig, Seed, TimeSeries, mad_sigma
+from .core import ChangepointConfig, Seed, TimeSeries, mad_sigma, threshold_level
 from .cusum import batch_max_cusum, magnitude_floor, prefix_sums
 from .wbs import sample_interval_pairs
 
@@ -139,13 +139,13 @@ def sdll_select(
 ) -> ChangepointConfig:
     """Pick the changepoint count at the steepest drop in ranked magnitudes.
 
-    With gate zeta = lam * sqrt(2 ln T) * sigma_hat: an empty list or a top
-    magnitude not exceeding the gate gives the empty configuration. Otherwise
-    the drop is searched over the entries above the low level
-    ``floor_mult * zeta``: the kept count is the i maximizing m_i / m_{i+1},
-    with the low level standing in for the magnitude after the last scanned
-    entry; ties go to the smallest count. ``floor_mult=1.0`` searches only
-    above the gate itself.
+    With gate zeta = lam * sqrt(2 ln T) * sigma_hat (:func:`threshold_level`):
+    an empty list or a top magnitude not exceeding the gate gives the empty
+    configuration. Otherwise the drop is searched over the entries above the
+    low level ``floor_mult * zeta``: the kept count is the i maximizing
+    m_i / m_{i+1}, with the low level standing in for the magnitude after the
+    last scanned entry; ties go to the smallest count. ``floor_mult=1.0``
+    searches only above the gate itself.
     """
     if sigma_hat < 0:
         raise ValueError(f"sigma_hat must be non-negative, got {sigma_hat}")
@@ -154,14 +154,10 @@ def sdll_select(
     if not 0.0 < floor_mult <= 1.0:
         raise ValueError(f"floor_mult must be in (0, 1], got {floor_mult}")
     n_obs = candidates.series_length
-    empty = ChangepointConfig.empty(n_obs)
-    if not candidates.entries:
-        return empty
-
-    zeta = lam * np.sqrt(2.0 * np.log(n_obs)) * sigma_hat
+    zeta = threshold_level(lam, n_obs, sigma_hat)
     mags = candidates.magnitudes()
-    if not mags[0] > zeta:
-        return empty
+    if not (mags.size and mags[0] > zeta):
+        return ChangepointConfig.empty(n_obs)
 
     floor = floor_mult * zeta
     below = np.nonzero(mags < floor)[0]

@@ -95,6 +95,15 @@ class TestRunNullStudy:
         for row in report.rows:
             assert row.avg_distance >= row.false_positive_rate
 
+    def test_rejects_fewer_than_one_job(self):
+        # n_jobs 0 and -4 once ran serially without a word
+        spec = TeethSpec(length=60)
+        for n_jobs in (0, -4):
+            with pytest.raises(ValueError, match="n_jobs"):
+                run_null_study(["binseg"], [60], 2, 1, n_jobs=n_jobs)
+            with pytest.raises(ValueError, match="n_jobs"):
+                run_signal_study(spec, ["binseg"], 2, 1, n_jobs=n_jobs)
+
     def test_parallel_matches_serial(self):
         serial = run_null_study(["wbs"], [60], 16, 5, n_jobs=1)
         parallel = run_null_study(["wbs"], [60], 16, 5, n_jobs=2)

@@ -1,9 +1,111 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from cpdkit import TimeSeries, binary_segmentation, gen_null, max_cusum
+from cpdkit import TimeSeries, binary_segmentation, gen_null, gen_teeth, max_cusum, wbs_detect
+from cpdkit.core import universal_threshold
+from cpdkit.cusum import batch_max_cusum, magnitude_floor, max_cusum_from_sums, prefix_sums
+from cpdkit.binseg import split_recursively
+from cpdkit.wbs import sample_interval_pairs
+
+
+def reference_binseg(series, threshold, min_len):
+    """Binary segmentation's own deque loop, before it shared one recursion
+    with WBS."""
+    p = prefix_sums(series.values)
+    cutoff = max(threshold, magnitude_floor(series.values))
+    found = []
+    segments = deque([(1, len(series))])
+    while segments:
+        s, e = segments.popleft()
+        if e - s + 1 < min_len or e - s < 1:
+            continue
+        b, magnitude = max_cusum_from_sums(p, s, e)
+        if magnitude > cutoff:
+            found.append(b + 1)
+            segments.append((s, b))
+            segments.append((b + 1, e))
+    return tuple(sorted(found))
+
+
+def reference_wbs(series, m_intervals, c, seed, min_span):
+    """WBS's own deque loop, before it shared one recursion with binary
+    segmentation."""
+    n_obs = len(series)
+    threshold = max(universal_threshold(series, c), magnitude_floor(series.values))
+    p = prefix_sums(series.values)
+    if m_intervals > 0:
+        rng = np.random.default_rng(seed)
+        starts, ends = sample_interval_pairs(rng, n_obs, m_intervals, min_span)
+        splits, mags = batch_max_cusum(p, starts, ends)
+    else:
+        starts = ends = splits = np.empty(0, dtype=np.int64)
+        mags = np.empty(0, dtype=np.float64)
+    found = []
+    segments = deque([(1, n_obs)])
+    while segments:
+        s, e = segments.popleft()
+        if e - s < 1:
+            continue
+        best_b, best_mag = max_cusum_from_sums(p, s, e)
+        inside = np.nonzero((starts >= s) & (ends <= e))[0]
+        if inside.size:
+            k = inside[int(np.argmax(mags[inside]))]
+            if mags[k] > best_mag:
+                best_b, best_mag = int(splits[k]), float(mags[k])
+        if best_mag > threshold:
+            found.append(best_b + 1)
+            segments.append((s, best_b))
+            segments.append((best_b + 1, e))
+    return tuple(sorted(found))
+
+
+def reference_series(kind):
+    n = 150
+    if kind == "noise":
+        return gen_null(n, 21)
+    if kind == "rounded":  # most first differences tie, and mad_sigma is 0
+        return TimeSeries(np.round(0.4 * gen_null(n, 22).values))
+    teeth = gen_teeth(n, 15, 1.0, 0.4, seed=3)[0].values
+    return TimeSeries(teeth + (1e8 if kind == "offset" else 0.0))
+
+
+@pytest.mark.parametrize("kind", ["noise", "teeth", "rounded", "offset"])
+def test_one_recursion_matches_both_reference_loops(kind):
+    series = reference_series(kind)
+    n = len(series)
+    # thresholds equal to attained magnitudes decide the strict comparison
+    root = max_cusum(series, 1, n)[1]
+    half = max_cusum(series, 1, n // 2)[1]
+    for min_len in (2, 5):
+        for c in (0.0, 0.5, 1.3):
+            expected = reference_binseg(series, universal_threshold(series, c), min_len)
+            assert binary_segmentation(series, min_len=min_len, c=c).times == expected
+        for threshold in (0.0, 1.0, 3.0, root, half, math.inf):
+            expected = reference_binseg(series, threshold, min_len)
+            got = binary_segmentation(series, threshold=threshold, min_len=min_len)
+            assert got.times == expected, (min_len, threshold)
+    for c in (0.0, 0.5, 1.3):
+        for m_intervals in (0, 1, 50, 5000):
+            for min_span in (1, 7):
+                expected = reference_wbs(series, m_intervals, c, 4, min_span)
+                got = wbs_detect(series, m_intervals, c, seed=4, min_span=min_span)
+                assert got.times == expected, (c, m_intervals, min_span)
+
+
+def test_contained_interval_must_beat_the_segment_strictly():
+    # on (1, 6) the interval (4, 6) ties the segment's own contrast, at split
+    # 5 against 3; the segment's split wins, and (4, 6) is too short to split
+    series = TimeSeries([0.0, 0.0, 0.0, 1.0, 2.0, 0.0])
+    p = prefix_sums(series.values)
+    starts, ends = np.array([4]), np.array([6])
+    splits, mags = batch_max_cusum(p, starts, ends)
+    assert (3, 5) == (max_cusum(series, 1, 6)[0], splits[0])
+    assert max_cusum(series, 1, 6)[1] == mags[0]
+    table = (starts, ends, splits, mags)
+    assert split_recursively(series, p, 1.0, min_len=4, intervals=table).times == (4,)
 
 
 class TestBinarySegmentation:
@@ -71,3 +173,22 @@ class TestBinarySegmentation:
             binary_segmentation(gen_null(100, 600 + i)).count >= 1 for i in range(100)
         )
         assert fps <= 30
+
+    def test_min_len_stops_recursion_on_short_segments(self):
+        # noiseless staircase, one step every 4 observations
+        s = TimeSeries(np.repeat(np.arange(10.0), 4))
+        steps = set(range(5, 41, 4))
+        for min_len in (2, 5, 8):  # every segment shorter than min_len is flat
+            assert set(binary_segmentation(s, min_len=min_len).times) == steps
+        for min_len in (9, 17, 33):
+            cfg = binary_segmentation(s, min_len=min_len)
+            assert set(cfg.times) < steps
+            # a segment still holding a step was too short to split
+            for start, end in cfg.segment_bounds():
+                if steps & set(range(start + 1, end + 1)):
+                    assert end - start + 1 < min_len, (min_len, start, end)
+        assert binary_segmentation(s, min_len=41).times == ()
+
+    def test_rejects_short_min_len(self):
+        with pytest.raises(ValueError, match="min_len"):
+            binary_segmentation(gen_null(20, 1), min_len=1)

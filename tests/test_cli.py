@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 import cpdkit.penlik
-from cpdkit import gen_teeth
+from cpdkit import TimeSeries, binary_segmentation, gen_teeth
 from cpdkit.cli import _method_params, build_parser, main
 
 
@@ -79,6 +79,18 @@ class TestDetect:
         assert main(["detect", str(src), "--method", "wbs2-sdll", "--seed", "0",
                      "--floor-mult", "1.0"]) == 0
         assert json.loads(capsys.readouterr().out)["n_changepoints"] == 1
+
+    def test_min_len_flag_reaches_detector(self, tmp_path, capsys):
+        # noiseless staircase, one step every 4 observations
+        values = np.repeat(np.arange(10.0), 4)
+        src = tmp_path / "stairs.csv"
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        for min_len, expected in ((2, list(range(5, 41, 4))), (17, [9, 21, 29])):
+            assert main(["detect", str(src), "--method", "binseg",
+                         "--min-len", str(min_len)]) == 0
+            assert json.loads(capsys.readouterr().out)["changepoints"] == expected
+            api = binary_segmentation(TimeSeries(values), min_len=min_len)
+            assert list(api.times) == expected
 
     def test_penalized_detect_runs_dp_once(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "n.csv"

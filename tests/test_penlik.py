@@ -366,7 +366,7 @@ def test_large_offset_leaves_penalized_fit_unchanged():
 def test_near_perfect_fit_gets_one_rule_on_every_path():
     # the two means are not exact in binary, so the best one-changepoint RSS
     # is rounding residue (about 4e-15), not 0: every penalized path treats it
-    # as a perfect fit within 1e-12 * max(1, null RSS)
+    # as a perfect fit within 1e-12 * null RSS
     series = TimeSeries([1000.1] * 30 + [1000.7] * 30)
     config = ChangepointConfig.from_times((31,), 60)
     ranked = wbs2_candidates(series, seed=1)
@@ -382,6 +382,26 @@ def test_near_perfect_fit_gets_one_rule_on_every_path():
         for fit in fits:
             assert (fit.config, fit.objective, fit.degenerate) == (config, -math.inf, True)
             assert fit.rss == fits[0].rss
+
+
+def test_zero_rss_rule_is_scale_free():
+    # a tolerance of 1e-12 * max(1, null RSS) was absolute below a null RSS
+    # of 1: at scale 1e-8 the null RSS itself fell under it, and every fit
+    # came back empty, degenerate and at objective -inf
+    base, truth = gen_teeth(200, 20, 2.0, 0.3, seed=5)
+    assert truth.count == 9
+    for scale in (1e-4, 1e-8, 1e-12):
+        series = TimeSeries(base.values * scale)
+        for name, select in (("bic", select_bic), ("mbic", select_mbic)):
+            fit = select(series)
+            assert (fit.config, fit.degenerate) == (truth, False), (scale, name)
+            assert math.isfinite(fit.objective)
+            evaluated = evaluate_fit(series, truth, name)
+            assert (evaluated.rss, evaluated.degenerate) == (fit.rss, False)
+    # a constant series has tolerance 0 and stays a perfect fit at m = 0
+    for value in (3e-9, 0.1, 1000.1):
+        fit = select_bic(TimeSeries([value] * 40))
+        assert (fit.config.times, fit.degenerate, fit.objective) == ((), True, -math.inf)
 
 
 def _bit_vector_exhaustive(series, pool, penalty_name, min_seg):

@@ -95,6 +95,19 @@ class TestWbsDetect:
             plain = binary_segmentation(s, threshold=universal_threshold(s, 1.3))
             assert wbs_detect(s, m_intervals=0, c=1.3, seed=trial).times == plain.times
 
+    def test_full_span_draws_reduce_to_binseg(self):
+        # min_span = T-1 admits only (1, T), which never beats the root's own
+        # contrast and lies inside no other segment
+        n = 90
+        for trial in range(6):
+            series = gen_null(n, 400 + trial)
+            if trial % 2:
+                series = TimeSeries(series.values + np.repeat([0.0, 2.0, 0.5], 30))
+            for c in (0.5, 1.3):
+                plain = binary_segmentation(series, c=c)
+                wild = wbs_detect(series, m_intervals=20, c=c, seed=trial, min_span=n - 1)
+                assert wild.times == plain.times
+
     def test_detection_on_moderate_signal(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(100)

@@ -14,7 +14,7 @@ from cpdkit import (
     wbs2_candidates,
     wbs2_sdll_detect,
 )
-from cpdkit.core import mad_sigma
+from cpdkit.core import mad_sigma, universal_threshold
 from cpdkit.cusum import batch_max_cusum, magnitude_floor, prefix_sums
 from cpdkit.wbs import sample_interval_pairs
 
@@ -147,6 +147,17 @@ class TestSdllSelect:
     def test_empty_candidates(self):
         empty = SortedCandidateList(entries=(), series_length=50)
         assert sdll_select(empty, sigma_hat=1.0).times == ()
+
+    def test_gate_is_the_universal_threshold(self):
+        # at these lengths ln T differs by one ulp between math and numpy, and
+        # a gate written with numpy kept a candidate exactly at the threshold
+        for n_obs in (9170, 19143):
+            series = gen_null(n_obs, 3)
+            zeta = universal_threshold(series, 1.3)
+            for magnitude, kept in ((zeta, ()), (np.nextafter(zeta, np.inf), (4001,))):
+                entry = CandidateEntry(start=1, end=n_obs, location=4000, magnitude=magnitude)
+                cands = SortedCandidateList(entries=(entry,), series_length=n_obs)
+                assert sdll_select(cands, mad_sigma(series), lam=1.3).times == kept
 
     def test_rejects_negative_lambda(self):
         # lam = -1 once put the gate below zero: 198 changepoints on noise
