@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .binseg import binary_segmentation
-from .core import ChangepointConfig, Seed, TimeSeries, gen_null, gen_teeth
+from .core import ChangepointConfig, Seed, TimeSeries, check_teeth, gen_null, gen_teeth
 from .distance import config_distance
 from .penlik import PenalizedFit, select_bic, select_mbic
 from .wbs import wbs_detect
@@ -93,6 +93,9 @@ class TeethSpec:
     amplitude: float = 1.0
     sigma: float = 0.3
 
+    def __post_init__(self):
+        check_teeth(self.length, self.period, self.sigma)
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -137,11 +140,9 @@ def _replicate(args) -> dict[str, tuple[int, float]]:
     return out
 
 
-def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_params,
-               n_jobs) -> BenchmarkReport:
-    """Shared body of the null and signal studies: validate, replicate every
-    (length, rep) cell serially or in worker processes, aggregate per method."""
-    methods = list(methods)
+def check_study(methods, lengths, n_reps: int, n_jobs: int) -> None:
+    """Raise ValueError unless a study of these methods and lengths, with
+    ``n_reps`` replications in ``n_jobs`` processes, can run."""
     if not methods:
         raise ValueError(f"no methods given; valid methods: {', '.join(VALID_METHODS)}")
     for m in methods:
@@ -154,6 +155,14 @@ def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_param
     for length in lengths:
         if length < 10:
             raise ValueError(f"series lengths below 10 are not supported, got {length}")
+
+
+def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_params,
+               n_jobs) -> BenchmarkReport:
+    """Shared body of the null and signal studies: validate, replicate every
+    (length, rep) cell serially or in worker processes, aggregate per method."""
+    methods = list(methods)
+    check_study(methods, lengths, n_reps, n_jobs)
 
     rows: list[ReportRow] = []
     for length in lengths:

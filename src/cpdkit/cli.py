@@ -15,6 +15,7 @@ from pathlib import Path
 from .bench import (
     TeethSpec,
     VALID_METHODS,
+    check_study,
     format_table,
     run_detector,
     run_method,
@@ -176,33 +177,30 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _bench_config_error(field: str, message: str) -> CliError:
-    return CliError(f"invalid benchmark configuration ({field}): {message}", EXIT_BAD_CONFIG)
-
-
 def cmd_bench(args) -> int:
     methods = list(args.methods) if args.methods else list(TABLE1_METHODS)
     lengths = list(args.lengths) if args.lengths else list(TABLE1_LENGTHS)
     reps = args.reps if args.reps is not None else (TABLE1_REPS if args.table1 else 100)
-
-    for m in methods:
-        if m not in VALID_METHODS:
-            raise _bench_config_error(
-                "methods", f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}"
-            )
-    if reps < 1:
-        raise _bench_config_error("reps", f"need at least 1 replication, got {reps}")
-    for length in lengths:
-        if length < 10:
-            raise _bench_config_error("lengths", f"need lengths >= 10, got {length}")
-    if args.jobs < 1:
-        raise _bench_config_error("jobs", f"need at least 1 job, got {args.jobs}")
+    spec = None
+    if args.signal:
+        spec = TeethSpec(
+            length=args.teeth_length,
+            period=args.teeth_period,
+            amplitude=args.teeth_amplitude,
+            sigma=args.teeth_sigma,
+        )
+    # every study setting is checked before anything is written
+    study_lengths = lengths + ([spec.length] if spec is not None else [])
+    check_study(methods, study_lengths, reps, args.jobs)
 
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _bench_config_error("out", f"cannot create {out_dir}: {exc}")
+        raise CliError(
+            f"invalid benchmark configuration (out): cannot create {out_dir}: {exc}",
+            EXIT_BAD_CONFIG,
+        )
 
     method_params = _method_params(args)
     report = run_null_study(
@@ -213,13 +211,7 @@ def cmd_bench(args) -> int:
     (out_dir / "null_table.txt").write_text(table, encoding="utf-8")
     write_csv(report, out_dir / "null_results.csv")
 
-    if args.signal:
-        spec = TeethSpec(
-            length=args.teeth_length,
-            period=args.teeth_period,
-            amplitude=args.teeth_amplitude,
-            sigma=args.teeth_sigma,
-        )
+    if spec is not None:
         sig_report = run_signal_study(
             spec, methods, reps, args.seed, method_params=method_params, n_jobs=args.jobs
         )

@@ -111,6 +111,16 @@ def gen_null(length: int, seed: Seed) -> TimeSeries:
     return TimeSeries(rng.standard_normal(length))
 
 
+def check_teeth(length: int, period: int, sigma: float) -> None:
+    """Raise ValueError unless :func:`gen_teeth` accepts these settings."""
+    if period < 2:
+        raise ValueError(f"period must be at least 2, got {period}")
+    if length < 2 * period:
+        raise ValueError(f"length must be at least 2*period={2 * period}, got {length}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+
+
 def gen_teeth(
     length: int,
     period: int = 20,
@@ -124,12 +134,7 @@ def gen_teeth(
     observations. Returns the noisy series together with the true
     configuration, one changepoint at each index where the mean changes.
     """
-    if period < 2:
-        raise ValueError(f"period must be at least 2, got {period}")
-    if length < 2 * period:
-        raise ValueError(f"length must be at least 2*period={2 * period}, got {length}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    check_teeth(length, period, sigma)
     t = np.arange(length)
     mean = amplitude * ((t // period) % 2).astype(np.float64)
     rng = np.random.default_rng(seed)

@@ -82,17 +82,17 @@ def _segment_cost(s: np.ndarray, ss: np.ndarray, u, t) -> np.ndarray:
     return np.maximum((ss[t] - ss[u]) - (s[t] - s[u]) ** 2 / (t - u), 0.0)
 
 
-# columns of the segment-cost matrix built at once; working memory is a few
-# (T+1) x _COST_BLOCK float64 arrays
+# end times of the segment-cost matrix built at once; working memory is a few
+# _COST_BLOCK x (T+1) float64 arrays
 _COST_BLOCK = 128
 
 
-def _cost_columns(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) -> np.ndarray:
-    """cost[u, t - lo] = RSS of one mean over observations u+1..t (prefix
-    indices) for rows u < hi and columns t in [lo, hi), inf where the segment
+def _cost_rows(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) -> np.ndarray:
+    """cost[t - lo, u] = RSS of one mean over observations u+1..t (prefix
+    indices) for rows t in [lo, hi) and columns u < hi, inf where the segment
     is shorter than min_seg (so for every u >= t)."""
-    t = np.arange(lo, hi)[None, :]
-    u = np.arange(hi)[:, None]
+    t = np.arange(lo, hi)[:, None]
+    u = np.arange(hi)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         cost = _segment_cost(s, ss, u, t)
     cost[u > t - min_seg] = np.inf
@@ -103,9 +103,11 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     """Exact minimal-RSS configurations for every count m = 0..m_max.
 
     Segment-neighborhood dynamic programming in O(m_max * T^2) time and
-    O(T * _COST_BLOCK) memory: each block of cost columns is built once and
-    every level advances across it before the next block, which is valid
-    because f_k[t] reads f_{k-1}[u] only for u < t.
+    O(T * _COST_BLOCK) memory: each block of cost rows (one per end time t)
+    is built once and every level advances across it before the next block,
+    which is valid because f_k[t] reads f_{k-1}[u] only for u < t. A level
+    is one in-place add and one argmin along each contiguous row; argmin
+    keeps the first minimum, so ties go to the smallest u.
     """
     n = len(series)
     if m_max < 0:
@@ -123,12 +125,15 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     backs = np.empty((m_max, n + 1), dtype=np.int64)
     for lo in range(0, n + 1, _COST_BLOCK):
         hi = min(lo + _COST_BLOCK, n + 1)
-        cost = _cost_columns(s, ss, lo, hi, min_seg)
-        f[0, lo:hi] = cost[0]  # one segment over the first t observations
+        cost = _cost_rows(s, ss, lo, hi, min_seg)
+        f[0, lo:hi] = cost[:, 0]  # one segment over the first t observations
+        rows = np.arange(hi - lo)
+        w = np.empty_like(cost)
         for k in range(1, m_max + 1):
-            w = f[k - 1, :hi, None] + cost
-            f[k, lo:hi] = np.min(w, axis=0)
-            backs[k - 1, lo:hi] = np.argmin(w, axis=0)
+            np.add(f[k - 1, :hi], cost, out=w)
+            back = np.argmin(w, axis=1)
+            backs[k - 1, lo:hi] = back
+            f[k, lo:hi] = w[rows, back]
 
     configs: list[tuple[int, ...]] = [()]
     for m in range(1, m_max + 1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,13 @@ class TestRunSignalStudy:
         a = run_signal_study(spec, ["wbs"], 10, 9)
         b = run_signal_study(spec, ["wbs"], 10, 9)
         assert a == b
+
+    @pytest.mark.parametrize("length, period, sigma", [(30, 20, 0.3), (60, 1, 0.3), (60, 20, -1.0)])
+    def test_spec_rejects_what_the_generator_rejects(self, length, period, sigma):
+        with pytest.raises(ValueError) as generator_error:
+            gen_teeth(length, period, 1.0, sigma)
+        with pytest.raises(ValueError, match=re.escape(str(generator_error.value))):
+            TeethSpec(length=length, period=period, sigma=sigma)
 
 
 class TestReportOutput:

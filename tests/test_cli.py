@@ -3,6 +3,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import cpdkit.penlik
 from cpdkit import TimeSeries, binary_segmentation, gen_teeth
@@ -198,6 +199,21 @@ class TestBench:
     def test_invalid_length_exit_4(self, tmp_path):
         assert main(["bench", "--methods", "binseg", "--lengths", "5",
                      "--reps", "2", "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "0"],
+        ["--signal", "--teeth-length", "30", "--teeth-period", "20"],  # needs two periods
+        ["--signal", "--teeth-sigma", "-1"],
+        ["--signal", "--teeth-length", "8", "--teeth-period", "4"],  # below length 10
+    ])
+    def test_invalid_settings_write_nothing(self, tmp_path, flags):
+        # the null study once ran and wrote its files before the signal
+        # study's settings were checked
+        out = tmp_path / "out"
+        code = main(["bench", "--methods", "binseg", "--lengths", "100", "--reps", "20",
+                     "--out", str(out), *flags])
+        assert code == 4
+        assert not out.exists()
 
     def test_smoke_run_under_ten_seconds(self, tmp_path, capsys):
         start = time.time()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,22 +322,51 @@ def _dense_rss_table(series, m_max, min_seg):
     return RssTable(rss=tuple(rss), configs=tuple(configs), series_length=n, min_seg=min_seg)
 
 
+def _tie_prone_series(n):
+    """Noise, then series whose DP levels tie (steps with zero-cost
+    segments, rounded noise, a constant), then noise at a 1e8 offset."""
+    q = n // 4
+    yield gen_null(n, n)
+    yield TimeSeries(np.repeat([0.0, 3.0, 1.0, 3.0], [q, q, q, n - 3 * q]))
+    yield TimeSeries(np.round(0.3 * gen_null(n, n).values))
+    yield TimeSeries(np.full(n, 2.5))
+    yield TimeSeries(1e8 + gen_null(n, n).values)
+
+
 def test_blockwise_dp_matches_dense_reference(monkeypatch):
-    # every cost-block size, from one column to the whole matrix, gives the
-    # dense DP's table exactly; the step series makes zero-cost ties
-    for n, min_seg in itertools.product((23, 61, 150), (2, 3)):
-        m_max = default_m_max(n, min_seg)
-        q = n // 4
-        step = TimeSeries(np.repeat([0.0, 3.0, 1.0, 3.0], [q, q, q, n - 3 * q]))
-        for series in (gen_null(n, n), step):
-            expected = _dense_rss_table(series, m_max, min_seg)
-            for block in (1, 7, n + 1, 10 * n):
-                monkeypatch.setattr(penlik, "_COST_BLOCK", block)
-                assert segment_rss_table(series, m_max, min_seg) == expected
+    # every cost-block size, from one row to the whole matrix, gives the
+    # dense DP's table exactly, ties included (the first minimum, smallest u)
+    for n, min_seg in itertools.product((23, 61, 150), (2, 3, 5)):
+        for series in _tie_prone_series(n):
+            for m_max in (0, 1, default_m_max(n, min_seg)):
+                expected = _dense_rss_table(series, m_max, min_seg)
+                for block in (1, 7, 128, n + 1, 10 * n):
+                    monkeypatch.setattr(penlik, "_COST_BLOCK", block)
+                    assert segment_rss_table(series, m_max, min_seg) == expected
+
+
+def test_dp_matches_dense_reference_on_small_integer_series():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(
+        values=st.lists(st.integers(-2, 2), min_size=6, max_size=40),
+        min_seg=st.integers(2, 5),
+        block=st.sampled_from((1, 3, 7, 128)),
+    )
+    def check(values, min_seg, block):
+        series = TimeSeries(np.array(values, dtype=np.float64))
+        m_max = default_m_max(len(series), min_seg)
+        expected = _dense_rss_table(series, m_max, min_seg)
+        with mock.patch.object(penlik, "_COST_BLOCK", block):
+            assert segment_rss_table(series, m_max, min_seg) == expected
+
+    check()
 
 
 def test_dp_memory_bounded_by_cost_block():
-    # working memory is a few (T+1) x _COST_BLOCK float64 blocks, not the
+    # working memory is a few _COST_BLOCK x (T+1) float64 blocks, not the
     # dense (T+1)^2 cost matrix (32 MB at T=2000)
     series = gen_null(2000, 2)
     block_bytes = (len(series) + 1) * penlik._COST_BLOCK * 8
@@ -346,7 +376,7 @@ def test_dp_memory_bounded_by_cost_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * block_bytes
+    assert peak < 6 * block_bytes
     assert peak < 8 * (len(series) + 1) ** 2 / 2
 
 
