@@ -55,7 +55,7 @@ def binary_segmentation(
     """
     if threshold is None:
         threshold = universal_threshold(series, c)
-    if threshold < 0:
+    if not threshold >= 0:  # rejects NaN; an infinite threshold finds nothing
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     if min_len < 2:
         raise ValueError(f"min_len must be at least 2, got {min_len}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,9 @@ def read_series_file(path: str) -> TimeSeries:
             raise CliError(f"{path}: non-numeric value on line {lineno}: {line!r}",
                            EXIT_BAD_CONTENT)
         first_data_line = False
+        if not math.isfinite(value):
+            raise CliError(f"{path}: non-finite value on line {lineno}: {line!r}",
+                           EXIT_BAD_CONTENT)
         values.append(value)
 
     try:

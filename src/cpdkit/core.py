@@ -165,8 +165,8 @@ def threshold_level(c: float, n_obs: int, sigma_hat: float) -> float:
 
 def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
     """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
-    if c < 0:
-        raise ValueError(f"threshold constant c must be non-negative, got {c}")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"threshold constant c must be non-negative and finite, got {c}")
     return threshold_level(c, len(series), mad_sigma(series))
 
 

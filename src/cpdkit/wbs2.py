@@ -11,6 +11,7 @@ before the drop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,6 @@ class SortedCandidateList:
         return np.array([e.magnitude for e in self.entries], dtype=np.float64)
 
 
-def _all_interval_pairs(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-    # the upper triangle of the (e-s+1)^2 grid, row-major; np.triu_indices
-    # gives the same arrays but is several times slower at these sizes
-    idx = np.arange(e - s + 1)
-    rows, cols = np.nonzero(idx[:, None] < idx)
-    return rows + s, cols + s
-
-
 def wbs2_candidates(
     series: TimeSeries, m_stage: int = 100, seed: Seed = 0
 ) -> SortedCandidateList:
@@ -84,8 +77,11 @@ def wbs2_candidates(
     (left first, for a reproducible draw order) until length < 2.
 
     The topmost exhaustive segment on a path evaluates all its sub-intervals
-    in one batch; its exhaustive descendants read theirs from that batch's
-    tables. This gives the same entries as one batch per segment: an
+    in one batch into square tables by (start, end) offset, with -1.0, below
+    every magnitude, on the diagonal and the lower triangle. Each exhaustive
+    stage in its subtree takes one row-major argmax over its own square of
+    the magnitude table: the first maximum of its sub-intervals listed
+    row-major. This gives the same entries as one batch per segment: an
     exhaustive subtree draws nothing, the stack finishes it before anything
     else, and an interval's result does not depend on its batch.
     """
@@ -96,34 +92,33 @@ def wbs2_candidates(
     dust = magnitude_floor(series.values)
 
     records: list[CandidateEntry] = []
-    root_s, root_e = 1, 0  # the current exhaustive root; none yet
+    root_s, mag_tab = 1, np.empty((0, 0))  # the current exhaustive root's tables; none yet
     stack = [(1, len(series))]
     while stack:
         s, e = stack.pop()
         if e - s < 1:
             continue
-        span = e - s
-        if span * (span + 1) // 2 <= m_stage:
-            starts, ends = _all_interval_pairs(s, e)
-            if not root_s <= s < e <= root_e:
-                root_s, root_e = s, e
-                split_tab = np.zeros((span + 1, span + 1), dtype=np.int64)
-                mag_tab = np.zeros((span + 1, span + 1))
-                cells = (starts - s, ends - s)
-                split_tab[cells], mag_tab[cells] = batch_max_cusum(p, starts, ends)
-            splits = split_tab[starts - root_s, ends - root_s]
-            mags = mag_tab[starts - root_s, ends - root_s]
+        w = e - s + 1
+        if w * (w - 1) // 2 <= m_stage:
+            o = s - root_s
+            if not 0 <= o <= len(mag_tab) - w:
+                root_s, o = s, 0
+                # the upper triangle of the w x w grid, row-major; np.triu_indices
+                # gives the same arrays but is several times slower at these sizes
+                rows, cols = np.nonzero(np.arange(w)[:, None] < np.arange(w))
+                split_tab, mag_tab = np.zeros((w, w), dtype=np.int64), np.full((w, w), -1.0)
+                split_tab[rows, cols], mag_tab[rows, cols] = batch_max_cusum(p, rows + s, cols + s)
+            i, j = divmod(int(np.argmax(mag_tab[o : o + w, o : o + w])), w)
+            start, end = s + i, s + j
+            b, mag = int(split_tab[o + i, o + j]), mag_tab[o + i, o + j]
         else:
-            starts, ends = sample_interval_pairs(rng, span + 1, m_stage, 1)
-            starts = starts + (s - 1)
-            ends = ends + (s - 1)
-            splits, mags = batch_max_cusum(p, starts, ends)
-        k = int(np.argmax(mags))
-        b = int(splits[k])
-        mag = float(mags[k]) if mags[k] > dust else 0.0
-        records.append(
-            CandidateEntry(start=int(starts[k]), end=int(ends[k]), location=b, magnitude=mag)
-        )
+            starts, ends = sample_interval_pairs(rng, w, m_stage, 1)
+            splits, mags = batch_max_cusum(p, starts + (s - 1), ends + (s - 1))
+            k = int(np.argmax(mags))
+            start, end = int(starts[k]) + s - 1, int(ends[k]) + s - 1
+            b, mag = int(splits[k]), mags[k]
+        mag = float(mag) if mag > dust else 0.0
+        records.append(CandidateEntry(start=start, end=end, location=b, magnitude=mag))
         stack.append((b + 1, e))
         stack.append((s, b))
 
@@ -147,10 +142,10 @@ def sdll_select(
     last scanned entry; ties go to the smallest count. ``floor_mult=1.0``
     searches only above the gate itself.
     """
-    if sigma_hat < 0:
-        raise ValueError(f"sigma_hat must be non-negative, got {sigma_hat}")
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
+    if not 0 <= sigma_hat < math.inf:
+        raise ValueError(f"sigma_hat must be non-negative and finite, got {sigma_hat}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
     if not 0.0 < floor_mult <= 1.0:
         raise ValueError(f"floor_mult must be in (0, 1], got {floor_mult}")
     n_obs = candidates.series_length

@@ -45,10 +45,13 @@ class TestDetect:
         assert main(["detect", "/no/such/file.csv", "--method", "binseg"]) == 2
 
     def test_non_numeric_row_exit_3(self, tmp_path, capsys):
+        # nan and inf parse as floats; the series once failed as a whole with
+        # no line named
         src = tmp_path / "bad.csv"
-        src.write_text("1.0\n2.0\nbogus\n3.0\n")
-        assert main(["detect", str(src), "--method", "binseg"]) == 3
-        assert "line 3" in capsys.readouterr().err
+        for cell in ("bogus", "nan", "inf", "-inf"):
+            src.write_text(f"1.0\n2.0\n{cell}\n3.0\n")
+            assert main(["detect", str(src), "--method", "binseg"]) == 3
+            assert "line 3" in capsys.readouterr().err
 
     def test_unknown_method_exit_4(self, tmp_path, capsys):
         src = tmp_path / "c.csv"
@@ -56,10 +59,15 @@ class TestDetect:
         assert main(["detect", str(src), "--method", "pelt"]) == 4
 
     def test_negative_threshold_constant_exit_4(self, tmp_path, capsys):
+        # nan once passed the sign check: exit 0, no changepoints and a
+        # "threshold": NaN that is not valid JSON
         src = tmp_path / "s.csv"
         write_step_csv(src)
-        assert main(["detect", str(src), "--method", "wbs", "--threshold-c", "-1"]) == 4
-        assert "non-negative" in capsys.readouterr().err
+        for value in ("-1", "nan", "inf", "-inf"):
+            for method, flag in (("wbs", "--threshold-c"), ("binseg", "--threshold-c"),
+                                 ("wbs2-sdll", "--lambda")):
+                assert main(["detect", str(src), "--method", method, f"{flag}={value}"]) == 4
+                assert "non-negative" in capsys.readouterr().err
 
     def test_out_file_and_determinism(self, tmp_path):
         src = tmp_path / "n.csv"
@@ -214,6 +222,18 @@ class TestBench:
                      "--out", str(out), *flags])
         assert code == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_detector_constant_exit_4(self, tmp_path, capsys, value):
+        # --threshold-c nan once reported a false-positive rate of 0
+        for method, flag in (("binseg", "--threshold-c"), ("wbs", "--threshold-c"),
+                             ("wbs2-sdll", "--lambda")):
+            out = tmp_path / method
+            code = main(["bench", "--methods", method, "--lengths", "100", "--reps", "3",
+                         "--out", str(out), f"{flag}={value}"])
+            assert code == 4
+            assert "non-negative" in capsys.readouterr().err
+            assert not list(out.glob("*"))
 
     def test_smoke_run_under_ten_seconds(self, tmp_path, capsys):
         start = time.time()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -59,14 +61,19 @@ class TestWbsDetect:
         assert wbs_detect(s, c=1.3, seed=4).times == (51,)
 
     def test_rejects_negative_constants(self):
-        # c = -1 once gave 199 changepoints on noise; m_intervals = -5 acted as 0
+        # c = -1 once gave 199 changepoints on noise; m_intervals = -5 acted as 0;
+        # c = NaN once passed the sign check and found nothing
         s = gen_null(200, 1)
-        with pytest.raises(ValueError, match="c must be non-negative"):
-            wbs_detect(s, c=-1.0)
-        with pytest.raises(ValueError, match="c must be non-negative"):
-            binary_segmentation(s, c=-1.0)
-        with pytest.raises(ValueError, match="c must be non-negative"):
-            universal_threshold(s, -0.5)
+        for c in (-1.0, -0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="c must be non-negative"):
+                wbs_detect(s, c=c)
+            with pytest.raises(ValueError, match="c must be non-negative"):
+                binary_segmentation(s, c=c)
+            with pytest.raises(ValueError, match="c must be non-negative"):
+                universal_threshold(s, c)
+        for threshold in (-1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="threshold must be non-negative"):
+                binary_segmentation(s, threshold=threshold)
         with pytest.raises(ValueError, match="m_intervals"):
             wbs_detect(s, m_intervals=-5)
         assert universal_threshold(s, 0.0) == 0.0

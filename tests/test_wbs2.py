@@ -111,15 +111,17 @@ class TestWbs2Candidates:
         mags = wbs2_candidates(s, seed=6).magnitudes()
         assert all(a >= b for a, b in zip(mags, mags[1:]))
 
-    @pytest.mark.parametrize("m_stage", [1, 3, 10, 100, 1000])
-    @pytest.mark.parametrize("n_obs", [2, 3, 17, 300])
+    @pytest.mark.parametrize("m_stage", [1, 3, 10, 90, 91, 92, 100, 1000])
+    @pytest.mark.parametrize("n_obs", [2, 3, 17, 300, 1000])
     def test_matches_one_batch_per_stage(self, m_stage, n_obs):
         # exhaustive descendants read their ancestor's batch; the entries must
-        # equal a recursion that evaluates every stage on its own
-        for rounded in (False, True):
-            x = np.random.default_rng(n_obs + m_stage).standard_normal(n_obs)
-            if rounded:
-                x = np.round(x)
+        # equal a recursion that evaluates every stage on its own. A width of
+        # 14 has exactly 91 sub-intervals; a constant series ties every pair at
+        # magnitude 0; in the last series (1, 6) and (2, 5) tie at the top and
+        # the row-major first, (1, 6), must win
+        noise = np.random.default_rng(n_obs + m_stage).standard_normal(n_obs)
+        tie = np.array([-1.0, -2.0, -1.0, -1.0, 1.0, 0.0])
+        for x in (noise, np.round(noise), noise + 1e8, np.full(n_obs, 2.5), tie):
             got = wbs2_candidates(TimeSeries(x), m_stage, seed=m_stage)
             entries = [(c.start, c.end, c.location, c.magnitude) for c in got.entries]
             assert entries == reference_candidates(TimeSeries(x), m_stage, m_stage)
@@ -160,11 +162,16 @@ class TestSdllSelect:
                 assert sdll_select(cands, mad_sigma(series), lam=1.3).times == kept
 
     def test_rejects_negative_lambda(self):
-        # lam = -1 once put the gate below zero: 198 changepoints on noise
-        with pytest.raises(ValueError, match="lam"):
-            sdll_select(make_candidates([10.0, 1.0]), sigma_hat=1.0, lam=-1.0)
-        with pytest.raises(ValueError, match="lam"):
-            wbs2_sdll_detect(gen_null(200, 1), lam=-1.0)
+        # lam = -1 once put the gate below zero: 198 changepoints on noise;
+        # lam = NaN once passed the sign check and kept nothing
+        for lam in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lam"):
+                sdll_select(make_candidates([10.0, 1.0]), sigma_hat=1.0, lam=lam)
+            with pytest.raises(ValueError, match="lam"):
+                wbs2_sdll_detect(gen_null(200, 1), lam=lam)
+        for sigma_hat in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma_hat must be non-negative"):
+                sdll_select(make_candidates([10.0, 1.0]), sigma_hat=sigma_hat)
 
     def test_zero_gate_zero_over_zero_and_trailing_floor(self):
         # sigma_hat 0 puts gate and low level at 0: the ratios are 3/1, 1/0,
