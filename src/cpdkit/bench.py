@@ -4,6 +4,7 @@ report per-method false-positive rates and average configuration distances."""
 from __future__ import annotations
 
 import concurrent.futures
+import inspect
 import io
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -11,11 +12,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .binseg import binary_segmentation
-from .core import ChangepointConfig, Seed, TimeSeries, check_teeth, gen_null, gen_teeth
+from .core import (
+    ChangepointConfig,
+    Seed,
+    TimeSeries,
+    check_teeth,
+    check_threshold_c,
+    gen_null,
+    gen_teeth,
+)
 from .distance import config_distance
 from .penlik import PenalizedFit, select_bic, select_mbic
 from .wbs import wbs_detect
-from .wbs2 import wbs2_sdll_detect
+from .wbs2 import check_sdll, wbs2_sdll_detect
 
 
 class Method(NamedTuple):
@@ -94,7 +103,7 @@ class TeethSpec:
     sigma: float = 0.3
 
     def __post_init__(self):
-        check_teeth(self.length, self.period, self.sigma)
+        check_teeth(self.length, self.period, self.amplitude, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -140,14 +149,30 @@ def _replicate(args) -> dict[str, tuple[int, float]]:
     return out
 
 
-def check_study(methods, lengths, n_reps: int, n_jobs: int) -> None:
+def _check_constants(method: str, params: dict) -> None:
+    """The detector's own checks of its threshold constants, run on ``params``
+    over the defaults in its signature."""
+    signature = inspect.signature(METHODS[method].detector)
+    kwargs = {name: p.default for name, p in signature.parameters.items()
+              if p.default is not p.empty}
+    kwargs.update(params)
+    if method == "wbs2-sdll":
+        check_sdll(kwargs["lam"], kwargs["floor_mult"])
+    elif "c" in kwargs and kwargs.get("threshold") is None:
+        check_threshold_c(kwargs["c"])
+
+
+def check_study(methods, lengths, n_reps: int, n_jobs: int,
+                method_params: dict | None = None) -> None:
     """Raise ValueError unless a study of these methods and lengths, with
-    ``n_reps`` replications in ``n_jobs`` processes, can run."""
+    ``n_reps`` replications in ``n_jobs`` processes and the detector
+    constants in ``method_params``, can run."""
     if not methods:
         raise ValueError(f"no methods given; valid methods: {', '.join(VALID_METHODS)}")
     for m in methods:
         if m not in METHODS:
             raise _unknown_method(m)
+        _check_constants(m, (method_params or {}).get(m) or {})
     if n_reps < 1:
         raise ValueError(f"n_reps must be positive, got {n_reps}")
     if n_jobs < 1:
@@ -162,7 +187,7 @@ def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_param
     """Shared body of the null and signal studies: validate, replicate every
     (length, rep) cell serially or in worker processes, aggregate per method."""
     methods = list(methods)
-    check_study(methods, lengths, n_reps, n_jobs)
+    check_study(methods, lengths, n_reps, n_jobs, method_params)
 
     rows: list[ReportRow] = []
     for length in lengths:

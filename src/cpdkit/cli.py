@@ -195,7 +195,8 @@ def cmd_bench(args) -> int:
         )
     # every study setting is checked before anything is written
     study_lengths = lengths + ([spec.length] if spec is not None else [])
-    check_study(methods, study_lengths, reps, args.jobs)
+    method_params = _method_params(args)
+    check_study(methods, study_lengths, reps, args.jobs, method_params)
 
     out_dir = Path(args.out)
     try:
@@ -206,7 +207,6 @@ def cmd_bench(args) -> int:
             EXIT_BAD_CONFIG,
         )
 
-    method_params = _method_params(args)
     report = run_null_study(
         methods, lengths, reps, args.seed, method_params=method_params, n_jobs=args.jobs
     )

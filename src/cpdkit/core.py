@@ -111,14 +111,16 @@ def gen_null(length: int, seed: Seed) -> TimeSeries:
     return TimeSeries(rng.standard_normal(length))
 
 
-def check_teeth(length: int, period: int, sigma: float) -> None:
+def check_teeth(length: int, period: int, amplitude: float, sigma: float) -> None:
     """Raise ValueError unless :func:`gen_teeth` accepts these settings."""
     if period < 2:
         raise ValueError(f"period must be at least 2, got {period}")
     if length < 2 * period:
         raise ValueError(f"length must be at least 2*period={2 * period}, got {length}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
 
 
 def gen_teeth(
@@ -134,7 +136,7 @@ def gen_teeth(
     observations. Returns the noisy series together with the true
     configuration, one changepoint at each index where the mean changes.
     """
-    check_teeth(length, period, sigma)
+    check_teeth(length, period, amplitude, sigma)
     t = np.arange(length)
     mean = amplitude * ((t // period) % 2).astype(np.float64)
     rng = np.random.default_rng(seed)
@@ -163,10 +165,15 @@ def threshold_level(c: float, n_obs: int, sigma_hat: float) -> float:
     return c * math.sqrt(2.0 * math.log(n_obs)) * sigma_hat
 
 
-def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
-    """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
+def check_threshold_c(c: float) -> None:
+    """Raise ValueError unless :func:`universal_threshold` accepts ``c``."""
     if not 0 <= c < math.inf:
         raise ValueError(f"threshold constant c must be non-negative and finite, got {c}")
+
+
+def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
+    """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
+    check_threshold_c(c)
     return threshold_level(c, len(series), mad_sigma(series))
 
 

@@ -5,7 +5,10 @@ configuration of m changepoints minimizing the residual sum of squares with
 every segment at least ``min_seg`` long; BIC and mBIC objectives are then
 evaluated across counts. A binary-chromosome genetic algorithm optimizes the
 same objectives directly, and a refinement step restricts the search to
-subsets of an externally supplied candidate list.
+subsets of an externally supplied candidate list. For up to 20 candidates the
+refinement is exhaustive: numpy scores every subset of one size at a time,
+and exact rescoring of the few subsets that could win, within a stated
+rounding bound, keeps the result that of scoring each subset on its own.
 
 All of these score changepoint times through one objective, so they share
 one rule for perfect fits. With the variance unknown, the likelihood term
@@ -19,7 +22,6 @@ constant series (null RSS 0) is a perfect fit at m = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -367,6 +369,83 @@ def ga_optimize(
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
 
+def _exhaustive_search(objective: _Objective, pool: np.ndarray) -> PenalizedFit:
+    """The fit of the first minimum of ``objective.key`` over all subsets of
+    ``pool``, in size-then-lexicographic order.
+
+    Each size m is one batch. Its feasible subsets are rows of boundary
+    indices in lexicographic order, each a row of size m-1 extended by one
+    later candidate, and they carry running sums of their segment costs (one
+    ``_segment_cost`` table over the k+2 boundaries) and log segment lengths.
+    Batched values can differ from ``objective.key`` in the last bits (sum
+    order, ``np.log``), so only the rows that could win are rescored with
+    ``objective.key``, in order: every row whose RSS may be a perfect fit,
+    the first exact one winning outright, and every row whose value is
+    within its rounding bound of the least upper bound on the optimum.
+    """
+    n, min_seg = objective.n, objective.min_seg
+    pool = pool[(pool >= 2) & (pool <= n)]  # any other time makes a subset infeasible
+    k = pool.size
+    bounds = np.concatenate(([0], pool - 1, [n]))  # prefix index of each boundary
+    u, t = bounds[:, None], bounds[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = _segment_cost(objective.s, objective.ss, u, t)  # [a, b]: boundary a to b
+        log_len = np.log((t - u) / n)
+    reach = np.searchsorted(bounds, bounds + min_seg)  # first boundary min_seg after each
+    last_ok = np.searchsorted(bounds, n - min_seg, side="right") - 1  # last changepoint
+    # the sums differ from the key's by far less than this relative band
+    degenerate_tol = objective.zero_tol * (1 + 1e-9)
+
+    best_times, best_key = (), objective.key(())
+    if best_key[0] == -math.inf:
+        return objective.fit(best_times)
+    upper = best_key[0]  # an upper bound on the optimal value
+    combos = np.zeros((1, 0), dtype=np.uint8)  # boundary indices 1..k of each row
+    last, inner, inner_log = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
+    for m in range(1, min(k, objective.m_max) + 1):
+        first = reach[last]
+        counts = np.maximum(last_ok - first + 1, 0)
+        parent = np.repeat(np.arange(last.size), counts)
+        if parent.size == 0:
+            break
+        b = np.arange(parent.size) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        combos = np.hstack((combos[parent], b[:, None].astype(np.uint8)))
+        prev, last = last[parent], b
+        inner = inner[parent] + cost[prev, b]
+        rss = inner + cost[b, -1]
+        with np.errstate(divide="ignore"):
+            half_dev = 0.5 * n * np.log(rss / n)
+        if objective.penalty_name == "bic":
+            penalty, lengths = (2 * m + 2) * math.log(n), 0.0
+        else:
+            inner_log = inner_log[parent] + log_len[prev, b]
+            penalty, lengths = 1.5 * m * math.log(n), 0.5 * (inner_log + log_len[b, -1])
+        value = half_dev + penalty + lengths
+        # Rounding bound, with u = eps/2. The m+1 segment costs and segment
+        # lengths are the key's own; the sums of costs and of log lengths
+        # each lie within m*u of their exact values, and each log within
+        # 4 ulp of its own. Through the half-deviance, the penalty and the
+        # two final additions, |value - key value| is then at most
+        # u * (2(m+1) n/2 + 22 |half_dev| + (2m+20) |lengths| + 4 |penalty|),
+        # which 16u(m+2) times the sum of these magnitudes exceeds.
+        err = 8 * np.finfo(float).eps * (m + 2) * (
+            np.abs(half_dev) + abs(penalty) + np.abs(lengths) + 0.5 * n
+        )
+        maybe_degenerate = rss <= degenerate_tol
+        finite = ~maybe_degenerate
+        if finite.any():
+            upper = min(upper, float(np.min(value[finite] + err[finite])))
+        for row in np.flatnonzero(maybe_degenerate | (value - err <= upper)):
+            times = tuple((bounds[combos[row]] + 1).tolist())
+            key = objective.key(times)
+            if key[0] == -math.inf:
+                return objective.fit(times)
+            if key < best_key:
+                best_times, best_key = times, key
+        upper = min(upper, best_key[0])
+    return objective.fit(best_times)
+
+
 def hybrid_refine(
     series: TimeSeries,
     candidates: SortedCandidateList,
@@ -381,16 +460,23 @@ def hybrid_refine(
     size-then-lexicographic order with the first minimum winning; genetic
     search above. Infeasible subsets are skipped; an empty candidate list
     yields the null fit.
+
+    The exhaustive search scores all subsets of one size at once in numpy,
+    feasible ones only, from running sums over a table of segment costs.
+    Those values may differ from the objective's in the last bits, so the
+    subsets that could still win are rescored exactly: each whose batched
+    RSS is within a relative 1e-9 of the zero-RSS tolerance (the first exact
+    perfect fit wins outright), and each whose batched value lies within a
+    rounding bound, from the magnitudes of its terms, of the least upper
+    bound on the optimum. The result is the fit that scoring each subset on
+    its own and taking the first minimum gives.
     """
     if candidates.series_length != len(series):
         raise ValueError(
             f"candidates are for length {candidates.series_length}, series has {len(series)}"
         )
     objective = _Objective(series, penalty_name, min_seg)
-    pool = sorted({e.changepoint_time for e in candidates.entries})
-    if len(pool) > EXHAUSTIVE_CANDIDATE_LIMIT:
-        return _ga_search(objective, np.array(pool, dtype=np.int64), ga_params, seed)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(pool, size) for size in range(len(pool) + 1)
-    )
-    return objective.fit(min(subsets, key=objective.key))
+    pool = np.array(sorted({e.changepoint_time for e in candidates.entries}), dtype=np.int64)
+    if pool.size > EXHAUSTIVE_CANDIDATE_LIMIT:
+        return _ga_search(objective, pool, ga_params, seed)
+    return _exhaustive_search(objective, pool)

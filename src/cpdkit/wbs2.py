@@ -126,6 +126,14 @@ def wbs2_candidates(
     return SortedCandidateList(entries=tuple(ordered), series_length=len(series))
 
 
+def check_sdll(lam: float, floor_mult: float) -> None:
+    """Raise ValueError unless :func:`sdll_select` accepts these constants."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
+    if not 0.0 < floor_mult <= 1.0:
+        raise ValueError(f"floor_mult must be in (0, 1], got {floor_mult}")
+
+
 def sdll_select(
     candidates: SortedCandidateList,
     sigma_hat: float,
@@ -144,10 +152,7 @@ def sdll_select(
     """
     if not 0 <= sigma_hat < math.inf:
         raise ValueError(f"sigma_hat must be non-negative and finite, got {sigma_hat}")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be non-negative and finite, got {lam}")
-    if not 0.0 < floor_mult <= 1.0:
-        raise ValueError(f"floor_mult must be in (0, 1], got {floor_mult}")
+    check_sdll(lam, floor_mult)
     n_obs = candidates.series_length
     zeta = threshold_level(lam, n_obs, sigma_hat)
     mags = candidates.magnitudes()
@@ -177,5 +182,6 @@ def wbs2_sdll_detect(
 ) -> ChangepointConfig:
     """Full detector: ranked candidates, then steepest-drop selection with the
     robust noise scale."""
+    check_sdll(lam, floor_mult)  # before the candidate list, the costly part
     candidates = wbs2_candidates(series, m_stage, seed)
     return sdll_select(candidates, mad_sigma(series), lam, floor_mult)

@@ -1,4 +1,6 @@
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from cpdkit import (
     run_signal_study,
     wbs2_sdll_detect,
 )
+from cpdkit import bench
 from cpdkit.bench import (
     VALID_METHODS,
+    check_study,
     data_seed,
     format_table,
     method_seed,
@@ -97,6 +101,26 @@ class TestRunNullStudy:
         for row in report.rows:
             assert row.avg_distance >= row.false_positive_rate
 
+    def test_rejects_detector_constants_before_running(self):
+        # the detectors' own checks, run on the study's parameters over the
+        # detectors' defaults, before any replication
+        bad = [
+            ("binseg", {"c": math.nan}), ("wbs", {"c": -1.0}), ("wbs", {"c": math.inf}),
+            ("wbs2-sdll", {"lam": math.nan}), ("wbs2-sdll", {"lam": -1.0}),
+            ("wbs2-sdll", {"floor_mult": 0.0}), ("wbs2-sdll", {"lam": 1.0, "floor_mult": 2.0}),
+        ]
+        with mock.patch.object(bench, "_replicate", side_effect=AssertionError("ran")):
+            for method, params in bad:
+                with pytest.raises(ValueError, match="non-negative|floor_mult"):
+                    run_null_study([method], [50], 2, 1, method_params={method: params})
+        good = [
+            ("binseg", {}), ("binseg", {"c": math.nan, "threshold": 1.0}),  # c unused
+            ("wbs2-sdll", {"lam": 0.0}), ("wbs2-sdll", {"floor_mult": 1.0}),
+            ("bic", {"min_seg": 3}),
+        ]
+        for method, params in good:
+            check_study([method], [50], 2, 1, {method: params})
+
     def test_rejects_fewer_than_one_job(self):
         # n_jobs 0 and -4 once ran serially without a word
         spec = TeethSpec(length=60)
@@ -155,12 +179,23 @@ class TestRunSignalStudy:
         b = run_signal_study(spec, ["wbs"], 10, 9)
         assert a == b
 
-    @pytest.mark.parametrize("length, period, sigma", [(30, 20, 0.3), (60, 1, 0.3), (60, 20, -1.0)])
+    @pytest.mark.parametrize("length, period, sigma", [
+        (30, 20, 0.3), (60, 1, 0.3), (60, 20, -1.0), (60, 20, math.nan), (60, 20, math.inf),
+    ])
     def test_spec_rejects_what_the_generator_rejects(self, length, period, sigma):
         with pytest.raises(ValueError) as generator_error:
             gen_teeth(length, period, 1.0, sigma)
         with pytest.raises(ValueError, match=re.escape(str(generator_error.value))):
             TeethSpec(length=length, period=period, sigma=sigma)
+
+    @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+    def test_spec_rejects_the_amplitudes_the_generator_rejects(self, amplitude):
+        # an infinite amplitude was not checked: the signal study failed only
+        # after the null study had been written
+        with pytest.raises(ValueError) as generator_error:
+            gen_teeth(60, 20, amplitude, 0.3)
+        with pytest.raises(ValueError, match=re.escape(str(generator_error.value))):
+            TeethSpec(length=60, period=20, amplitude=amplitude)
 
 
 class TestReportOutput:

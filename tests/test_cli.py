@@ -213,6 +213,11 @@ class TestBench:
         ["--signal", "--teeth-length", "30", "--teeth-period", "20"],  # needs two periods
         ["--signal", "--teeth-sigma", "-1"],
         ["--signal", "--teeth-length", "8", "--teeth-period", "4"],  # below length 10
+        # a NaN sigma once wrote a noiseless signal study; an infinite
+        # amplitude wrote the null study, then failed on the signal series
+        ["--signal", "--teeth-sigma=nan"],
+        ["--signal", "--teeth-amplitude=inf"],
+        ["--signal", "--teeth-amplitude=nan"],
     ])
     def test_invalid_settings_write_nothing(self, tmp_path, flags):
         # the null study once ran and wrote its files before the signal
@@ -223,9 +228,10 @@ class TestBench:
         assert code == 4
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_non_finite_detector_constant_exit_4(self, tmp_path, capsys, value):
-        # --threshold-c nan once reported a false-positive rate of 0
+        # --threshold-c nan once reported a false-positive rate of 0; the
+        # constants are checked with the other settings, before --out exists
         for method, flag in (("binseg", "--threshold-c"), ("wbs", "--threshold-c"),
                              ("wbs2-sdll", "--lambda")):
             out = tmp_path / method
@@ -233,7 +239,7 @@ class TestBench:
                          "--out", str(out), f"{flag}={value}"])
             assert code == 4
             assert "non-negative" in capsys.readouterr().err
-            assert not list(out.glob("*"))
+            assert not out.exists()
 
     def test_smoke_run_under_ten_seconds(self, tmp_path, capsys):
         start = time.time()

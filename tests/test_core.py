@@ -96,6 +96,18 @@ class TestGenTeeth:
         with pytest.raises(ValueError):
             gen_teeth(40, period=1)
 
+    def test_rejects_non_finite_settings(self):
+        # a NaN sigma once passed the sign check and gave a noiseless series;
+        # an infinite amplitude was not checked at all
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+                gen_teeth(40, 10, 1.0, sigma)
+        for amplitude in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="amplitude must be finite"):
+                gen_teeth(40, 10, amplitude, 0.3)
+        series, _ = gen_teeth(40, 10, -2.0, 0.0)  # a negative amplitude is a valid wave
+        assert series.values.min() == -2.0
+
     def test_determinism(self):
         a, _ = gen_teeth(60, 10, 1.0, 0.5, seed=9)
         b, _ = gen_teeth(60, 10, 1.0, 0.5, seed=9)

@@ -496,3 +496,98 @@ def test_exhaustive_refine_matches_bit_vector_reference():
         fit = hybrid_refine(spike, _candidates_from_times(tuple(pool), 32), name, min_seg=3)
         assert fit == expected
         assert fit.config.times == (15, 18)
+
+
+def test_exhaustive_refine_matches_reference_on_benchmark_units():
+    # the benchmark's shape: T=500 teeth and noise, the top 12 and 14 ranked
+    # WBS2 candidates; sizes of 7 and more sum their costs in another order
+    # than the key, so the batched values can differ from the key's
+    for series in (gen_teeth(500, 30, 1.0, 0.3, seed=8)[0], gen_null(500, 8)):
+        ranked = wbs2_candidates(series, seed=9)
+        for top, name, min_seg in itertools.product((12, 14), ("bic", "mbic"), (2, 3)):
+            cands = SortedCandidateList(entries=ranked.entries[:top], series_length=500)
+            pool = sorted({e.changepoint_time for e in cands.entries})
+            expected = _bit_vector_exhaustive(series, pool, name, min_seg)
+            assert hybrid_refine(series, cands, name, min_seg=min_seg) == expected
+
+
+def test_exhaustive_refine_smallest_perfect_fit_wins():
+    # a noiseless wave of 0 and 2 has mean 1, so its centered values are +-1
+    # and every segment within one level costs exactly 0: the true times and
+    # each feasible superset in the pool fit perfectly, and the smallest
+    # count, the true times, must win
+    series, truth = gen_teeth(120, 20, 2.0, 0.0, seed=0)
+    pool = sorted(set(truth.times) | {9, 30, 52, 75, 98, 110})
+    for name, min_seg in itertools.product(("bic", "mbic"), (2, 3)):
+        objective = penlik._Objective(series, name, min_seg)
+        assert objective.key(truth.times + (110,)) == (-math.inf, truth.count + 1)
+        fit = hybrid_refine(series, _candidates_from_times(tuple(pool), 120), name,
+                            min_seg=min_seg)
+        assert (fit.config, fit.objective, fit.rss, fit.degenerate) == (truth, -math.inf, 0.0, True)
+        assert fit == _bit_vector_exhaustive(series, pool, name, min_seg)
+
+
+def test_exhaustive_refine_memory_bounded_by_largest_size():
+    # every one of the 2**20 subsets of 20 spread candidates is feasible;
+    # working memory is a few arrays over the C(20, 10) subsets of the
+    # largest size, not one over all subsets (2**20 x 22 int64 bounds would
+    # take 185 MB)
+    series = gen_null(500, 4)
+    pool = tuple(range(21, 421, 20))
+    tracemalloc.start()
+    try:
+        fit = hybrid_refine(series, _candidates_from_times(pool, 500), "mbic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * math.comb(20, 10)
+    assert set(fit.config.times) <= set(pool)
+
+
+def test_exhaustive_refine_exact_when_the_batch_rounds_differently(monkeypatch):
+    # the batch may round differently from the key; within the rounding bound
+    # (each log within 4 ulp) the rescoring must still return the key's first
+    # minimum. Every np.log the batch takes is moved by up to 3 ulp at random,
+    # which splits the exact ties between subsets of rounded series, and of
+    # the spike of the test above, in random directions
+    rng = np.random.default_rng(5)
+    log = np.log
+
+    def jittered_log(x):
+        out = log(x)
+        with np.errstate(invalid="ignore"):
+            moved = out + rng.integers(-3, 4, size=np.shape(out)) * np.spacing(out)
+        return np.where(np.isfinite(out), moved, out)
+
+    cases = [(TimeSeries([0.0] * 15 + [5.0, 5.0] + [0.0] * 15), list(range(13, 22)))]
+    for i, n in enumerate((30, 45, 60)):
+        noise = gen_null(n, 950 + i).values
+        pool = sorted(rng.choice(np.arange(8, 8 + 16), size=11, replace=False).tolist())
+        cases += [(TimeSeries(np.round(noise)), pool), (TimeSeries(noise), pool)]
+    expected = {
+        (i, name, min_seg): _bit_vector_exhaustive(series, pool, name, min_seg)
+        for i, (series, pool) in enumerate(cases)
+        for name, min_seg in itertools.product(("bic", "mbic"), (2, 3))
+    }
+    monkeypatch.setattr(np, "log", jittered_log)
+    for _ in range(5):
+        for (i, name, min_seg), fit in expected.items():
+            series, pool = cases[i]
+            cands = _candidates_from_times(tuple(pool), len(series))
+            assert hybrid_refine(series, cands, name, min_seg=min_seg) == fit, (i, name)
+
+
+def test_exhaustive_refine_skips_times_outside_the_series():
+    # a hand-built list may hold times 1 and T+1 or beyond; every subset
+    # holding one is infeasible, and the search must not index past the
+    # series for them
+    series, truth = gen_teeth(60, 20, 2.0, 0.1, seed=3)
+    pool = [1, *truth.times, 45, 61, 64]
+    entries = tuple(
+        CandidateEntry(start=0, end=70, location=t - 1, magnitude=1.0) for t in pool
+    )
+    cands = SortedCandidateList(entries=entries, series_length=60)
+    for name in ("bic", "mbic"):
+        fit = hybrid_refine(series, cands, name)
+        assert fit == _bit_vector_exhaustive(series, pool, name, 2)
+        assert fit.config == truth

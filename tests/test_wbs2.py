@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cpdkit import (
     wbs2_candidates,
     wbs2_sdll_detect,
 )
+from cpdkit import wbs2
 from cpdkit.core import mad_sigma, universal_threshold
 from cpdkit.cusum import batch_max_cusum, magnitude_floor, prefix_sums
 from cpdkit.wbs import sample_interval_pairs
@@ -172,6 +174,13 @@ class TestSdllSelect:
         for sigma_hat in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma_hat must be non-negative"):
                 sdll_select(make_candidates([10.0, 1.0]), sigma_hat=sigma_hat)
+
+    def test_detect_checks_constants_before_ranking(self):
+        # lam = NaN was rejected only after the whole candidate list was built
+        with mock.patch.object(wbs2, "wbs2_candidates", side_effect=AssertionError("ranked")):
+            for lam, floor_mult in ((math.nan, 0.3), (-1.0, 0.3), (1.3, 0.0), (1.3, math.nan)):
+                with pytest.raises(ValueError, match="lam|floor_mult"):
+                    wbs2_sdll_detect(gen_null(200, 1), lam=lam, floor_mult=floor_mult)
 
     def test_zero_gate_zero_over_zero_and_trailing_floor(self):
         # sigma_hat 0 puts gate and low level at 0: the ratios are 3/1, 1/0,
