@@ -36,6 +36,10 @@ DEFAULT_MASTER_SEED = 12345
 TABLE1_METHODS = ("bic", "mbic", "wbs", "wbs2-sdll")
 TABLE1_LENGTHS = (100, 500)
 TABLE1_REPS = 1000
+_STUDY_TITLES = {
+    "null": "Null study (no true changepoints)",
+    "signal": "\nSignal study (teeth truth)",
+}
 
 
 class CliError(Exception):
@@ -193,10 +197,20 @@ def cmd_bench(args) -> int:
             amplitude=args.teeth_amplitude,
             sigma=args.teeth_sigma,
         )
-    # every study setting is checked before anything is written
+    # every study setting is checked before any study runs; settings that
+    # only a detector checks fail during the studies, so both run before
+    # --out is created
     study_lengths = lengths + ([spec.length] if spec is not None else [])
     method_params = _method_params(args)
     check_study(methods, study_lengths, reps, args.jobs, method_params)
+
+    reports = [run_null_study(
+        methods, lengths, reps, args.seed, method_params=method_params, n_jobs=args.jobs
+    )]
+    if spec is not None:
+        reports.append(run_signal_study(
+            spec, methods, reps, args.seed, method_params=method_params, n_jobs=args.jobs
+        ))
 
     out_dir = Path(args.out)
     try:
@@ -206,23 +220,11 @@ def cmd_bench(args) -> int:
             f"invalid benchmark configuration (out): cannot create {out_dir}: {exc}",
             EXIT_BAD_CONFIG,
         )
-
-    report = run_null_study(
-        methods, lengths, reps, args.seed, method_params=method_params, n_jobs=args.jobs
-    )
-    table = format_table(report)
-    sys.stdout.write("Null study (no true changepoints)\n" + table)
-    (out_dir / "null_table.txt").write_text(table, encoding="utf-8")
-    write_csv(report, out_dir / "null_results.csv")
-
-    if spec is not None:
-        sig_report = run_signal_study(
-            spec, methods, reps, args.seed, method_params=method_params, n_jobs=args.jobs
-        )
-        sig_table = format_table(sig_report)
-        sys.stdout.write("\nSignal study (teeth truth)\n" + sig_table)
-        (out_dir / "signal_table.txt").write_text(sig_table, encoding="utf-8")
-        write_csv(sig_report, out_dir / "signal_results.csv")
+    for report in reports:
+        table = format_table(report)
+        sys.stdout.write(f"{_STUDY_TITLES[report.study]}\n{table}")
+        (out_dir / f"{report.study}_table.txt").write_text(table, encoding="utf-8")
+        write_csv(report, out_dir / f"{report.study}_results.csv")
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -101,6 +100,11 @@ def _cost_rows(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) ->
     return cost
 
 
+def _check_min_seg(min_seg: int) -> None:
+    if min_seg < 2:
+        raise ValueError(f"min_seg must be at least 2, got {min_seg}")
+
+
 def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTable:
     """Exact minimal-RSS configurations for every count m = 0..m_max.
 
@@ -114,8 +118,7 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     n = len(series)
     if m_max < 0:
         raise ValueError(f"m_max must be non-negative, got {m_max}")
-    if min_seg < 2:
-        raise ValueError(f"min_seg must be at least 2, got {min_seg}")
+    _check_min_seg(min_seg)
     if (m_max + 1) * min_seg > n:
         raise ValueError(
             f"infeasible: {m_max + 1} segments of length >= {min_seg} need "
@@ -192,6 +195,7 @@ class _Objective:
     def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
         if penalty_name not in PENALTIES:
             raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
+        _check_min_seg(min_seg)
         self.n = len(series)
         self.penalty_name = penalty_name
         self.min_seg = min_seg
@@ -273,77 +277,77 @@ def select_mbic(series: TimeSeries, min_seg: int = 2) -> PenalizedFit:
     return _select_penalized(series, "mbic", min_seg)
 
 
+# The GA's fixed settings; only its size (GaParams) is tunable.
+_CROSSOVER_RATE = 0.8  # most parent pairs recombine, a few pass on unchanged
+_ELITISM = 2  # the best two carry over, so a generation's best never worsens
+_TOURNAMENT = 3  # a parent is the best of three draws: mild selection pressure
+_INIT_DENSITY = 0.5  # each bit of a random initial individual is set by a coin flip
+_MUTATIONS_PER_CHILD = 1.0  # each bit flips with probability 1/(number of bits)
+
+
 @dataclass(frozen=True)
 class GaParams:
+    """Size of the genetic search: ``population`` individuals (at least 1)
+    evolved for ``generations`` generations (at least 0).
+
+    The rest is fixed: two-point crossover at rate 0.8, the best two kept,
+    tournaments of three, initial bits set with probability 0.5 and each bit
+    flipped with probability 1/(number of bits).
+    """
+
     population: int = 50
     generations: int = 200
-    crossover_rate: float = 0.8
-    mutation_rate: float | None = None  # default 1/(T-1) per bit
-    elitism: int = 2
-    tournament: int = 3
-    init_density: float = 0.5
 
-
-def _ga_minimize(
-    key: Callable[[np.ndarray], tuple[float, int]],
-    n_bits: int,
-    params: GaParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Generic binary GA minimizing ``key``; returns the best bit vector found."""
-    pop_size = max(1, params.population)
-    mut = params.mutation_rate if params.mutation_rate is not None else 1.0 / max(1, n_bits)
-
-    population = (rng.random((pop_size, n_bits)) < params.init_density).astype(np.int8)
-    population[0, :] = 0  # always anchor the null model
-    keys = [key(ind) for ind in population]
-
-    best_idx = min(range(pop_size), key=lambda i: keys[i])
-    best_bits = population[best_idx].copy()
-    best_key = keys[best_idx]
-
-    for _ in range(params.generations):
-        order = sorted(range(pop_size), key=lambda i: keys[i])
-        elite = [population[i].copy() for i in order[: params.elitism]]
-
-        children = list(elite)
-        while len(children) < pop_size:
-            parents = []
-            for _ in range(2):
-                contenders = rng.integers(0, pop_size, size=params.tournament)
-                winner = min(contenders, key=lambda i: keys[i])
-                parents.append(population[winner])
-            c1, c2 = parents[0].copy(), parents[1].copy()
-            if n_bits >= 2 and rng.random() < params.crossover_rate:
-                lo, hi = np.sort(rng.choice(n_bits, size=2, replace=False))
-                c1[lo:hi], c2[lo:hi] = parents[1][lo:hi].copy(), parents[0][lo:hi].copy()
-            for child in (c1, c2):
-                flips = rng.random(n_bits) < mut
-                child[flips] ^= 1
-                if len(children) < pop_size:
-                    children.append(child)
-
-        population = np.array(children, dtype=np.int8)
-        keys = [key(ind) for ind in population]
-        gen_best = min(range(pop_size), key=lambda i: keys[i])
-        if keys[gen_best] < best_key:
-            best_key = keys[gen_best]
-            best_bits = population[gen_best].copy()
-
-    return best_bits
+    def __post_init__(self):
+        if self.population < 1:
+            raise ValueError(f"population must be at least 1, got {self.population}")
+        if self.generations < 0:
+            raise ValueError(f"generations must be non-negative, got {self.generations}")
 
 
 def _ga_search(
     objective: _Objective, pool: np.ndarray, ga_params: GaParams | None, seed: Seed
 ) -> PenalizedFit:
-    """GA over bit vectors selecting changepoint times from ``pool``."""
-    best = _ga_minimize(
-        lambda bits: objective.key(pool[bits.astype(bool)]),
-        pool.size,
-        ga_params or GaParams(),
-        np.random.default_rng(seed),
-    )
-    return objective.fit(pool[best.astype(bool)])
+    """Binary GA over bit vectors selecting changepoint times from ``pool``
+    (at least two), minimizing ``objective.key``; the fit of the best found."""
+    params = ga_params or GaParams()
+    rng = np.random.default_rng(seed)
+    size, n_bits = params.population, pool.size
+    mutation_rate = _MUTATIONS_PER_CHILD / n_bits
+
+    def key(bits: np.ndarray) -> tuple[float, int]:
+        return objective.key(pool[bits.astype(bool)])
+
+    population = (rng.random((size, n_bits)) < _INIT_DENSITY).astype(np.int8)
+    population[0, :] = 0  # always anchor the null model
+    keys = [key(ind) for ind in population]
+    best_idx = min(range(size), key=keys.__getitem__)
+    best_bits, best_key = population[best_idx].copy(), keys[best_idx]
+
+    for _ in range(params.generations):
+        order = sorted(range(size), key=keys.__getitem__)
+        children = [population[i].copy() for i in order[:_ELITISM]]
+        while len(children) < size:
+            p1, p2 = (
+                population[min(rng.integers(0, size, size=_TOURNAMENT), key=keys.__getitem__)]
+                for _ in range(2)
+            )
+            c1, c2 = p1.copy(), p2.copy()
+            if rng.random() < _CROSSOVER_RATE:
+                lo, hi = np.sort(rng.choice(n_bits, size=2, replace=False))
+                c1[lo:hi], c2[lo:hi] = p2[lo:hi], p1[lo:hi]
+            for child in (c1, c2):
+                child[rng.random(n_bits) < mutation_rate] ^= 1
+                if len(children) < size:
+                    children.append(child)
+
+        population = np.array(children, dtype=np.int8)
+        keys = [key(ind) for ind in population]
+        gen_best = min(range(size), key=keys.__getitem__)
+        if keys[gen_best] < best_key:
+            best_bits, best_key = population[gen_best].copy(), keys[gen_best]
+
+    return objective.fit(pool[best_bits.astype(bool)])
 
 
 def ga_optimize(

@@ -69,6 +69,15 @@ class TestDetect:
                 assert main(["detect", str(src), "--method", method, f"{flag}={value}"]) == 4
                 assert "non-negative" in capsys.readouterr().err
 
+    def test_min_seg_below_two_exit_4(self, tmp_path, capsys):
+        # --min-seg 0 once ended in a ZeroDivisionError traceback (exit 1)
+        src = tmp_path / "s.csv"
+        write_step_csv(src)
+        for method in ("bic", "mbic"):
+            for value in ("0", "1"):
+                assert main(["detect", str(src), "--method", method, "--min-seg", value]) == 4
+                assert "min_seg must be at least 2" in capsys.readouterr().err
+
     def test_out_file_and_determinism(self, tmp_path):
         src = tmp_path / "n.csv"
         rng = np.random.default_rng(0)
@@ -218,6 +227,17 @@ class TestBench:
         ["--signal", "--teeth-sigma=nan"],
         ["--signal", "--teeth-amplitude=inf"],
         ["--signal", "--teeth-amplitude=nan"],
+        # rejected only by the detector on its first run: the null study
+        # once wrote its files before the signal study failed, and a failing
+        # null study left --out behind
+        ["--methods", "wbs", "--lengths", "200", "--reps", "2", "--signal",
+         "--teeth-length", "60", "--min-span", "100"],
+        ["--methods", "wbs2-sdll", "--m-stage", "0"],
+        ["--methods", "wbs", "--intervals", "-1"],
+        ["--methods", "binseg", "--min-len", "1"],
+        ["--methods", "bic", "--min-seg", "1"],
+        ["--methods", "mbic", "--min-seg", "0"],
+        ["--methods", "wbs", "--min-span", "500"],
     ])
     def test_invalid_settings_write_nothing(self, tmp_path, flags):
         # the null study once ran and wrote its files before the signal

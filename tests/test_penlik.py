@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -591,3 +592,60 @@ def test_exhaustive_refine_skips_times_outside_the_series():
         fit = hybrid_refine(series, cands, name)
         assert fit == _bit_vector_exhaustive(series, pool, name, 2)
         assert fit.config == truth
+
+
+def _pinned_ga_fit(case):
+    if case == "ga-null-bic":
+        return ga_optimize(gen_null(60, 3787), "bic", seed=4787)
+    if case == "ga-teeth-mbic":
+        series, _ = gen_teeth(80, 20, 2.0, 0.5, seed=5)
+        return ga_optimize(series, "mbic", seed=5)
+    # the case of TestHybridRefine.test_uses_ga_beyond_exhaustive_limit
+    series, truth = gen_teeth(200, 40, 3.0, 0.1, seed=77)
+    pool = sorted(set(truth.times) | set(range(3, 200, 9)))
+    return hybrid_refine(series, _candidates_from_times(tuple(pool), 200), "bic", seed=5)
+
+
+@pytest.mark.parametrize("case, times, objective, rss", [
+    ("ga-null-bic", (30,), 1.9873338008308892, 37.1393262133074),
+    ("ga-teeth-mbic", (21, 41, 57, 61), -48.495303482722576, 13.761718535453523),
+    ("hybrid-ga", (41, 81, 121, 161), -407.6943077247608, 1.996793317625439),
+])
+def test_ga_outputs_are_pinned(case, times, objective, rss):
+    # exact outputs of the GA's fixed settings and seeded draws: a change to
+    # the order or the arguments of any draw shows here
+    fit = _pinned_ga_fit(case)
+    assert (fit.config.times, fit.objective, fit.rss) == (times, objective, rss)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"population": 0}, {"population": -5}, {"generations": -1},
+    {"population": -5, "generations": -2},
+])
+def test_ga_params_reject_empty_search(kwargs):
+    # a non-positive population was once run as one individual, and negative
+    # generations as zero
+    with pytest.raises(ValueError, match="population|generations"):
+        GaParams(**kwargs)
+
+
+def test_ga_params_keep_only_the_search_size():
+    assert [f.name for f in dataclasses.fields(GaParams)] == ["population", "generations"]
+    assert GaParams() == GaParams(population=50, generations=200)
+
+
+@pytest.mark.parametrize("min_seg", [0, 1])
+def test_penalized_paths_reject_min_seg_below_two(min_seg):
+    # min_seg 0 once raised ZeroDivisionError in default_m_max, and the GA
+    # and the hybrid accepted min_seg 1, which the DP rejects
+    series = gen_null(60, 1)
+    top = _candidates_from_times((20, 40), 60)
+    calls = [
+        lambda: select_bic(series, min_seg=min_seg),
+        lambda: select_mbic(series, min_seg=min_seg),
+        lambda: ga_optimize(series, "bic", min_seg=min_seg),
+        lambda: hybrid_refine(series, top, "bic", min_seg=min_seg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="min_seg must be at least 2"):
+            call()
