@@ -18,7 +18,7 @@ from .core import (
     universal_threshold,
 )
 from .cusum import cusum_stat, max_cusum
-from .distance import AssignmentResult, CostMatrix, config_distance, min_assignment
+from .distance import config_distance
 from .penlik import (
     GaParams,
     PenalizedFit,
@@ -70,9 +70,6 @@ __all__ = [
     "select_mbic",
     "ga_optimize",
     "hybrid_refine",
-    "CostMatrix",
-    "AssignmentResult",
-    "min_assignment",
     "config_distance",
     "TeethSpec",
     "ReportRow",

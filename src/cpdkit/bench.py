@@ -166,7 +166,8 @@ def check_study(methods, lengths, n_reps: int, n_jobs: int,
                 method_params: dict | None = None) -> None:
     """Raise ValueError unless a study of these methods and lengths, with
     ``n_reps`` replications in ``n_jobs`` processes and the detector
-    constants in ``method_params``, can run."""
+    constants in ``method_params``, can run. A repeated method or length
+    would rerun the same seeds, so it is an error."""
     if not methods:
         raise ValueError(f"no methods given; valid methods: {', '.join(VALID_METHODS)}")
     for m in methods:
@@ -180,6 +181,10 @@ def check_study(methods, lengths, n_reps: int, n_jobs: int,
     for length in lengths:
         if length < 10:
             raise ValueError(f"series lengths below 10 are not supported, got {length}")
+    for kind, values in (("method", methods), ("length", lengths)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{kind} {repeated[0]} is given more than once")
 
 
 def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_params,

@@ -199,10 +199,12 @@ def cmd_bench(args) -> int:
         )
     # every study setting is checked before any study runs; settings that
     # only a detector checks fail during the studies, so both run before
-    # --out is created
-    study_lengths = lengths + ([spec.length] if spec is not None else [])
+    # --out is created. Each study's lengths are checked on their own: the
+    # teeth length may equal a null length.
     method_params = _method_params(args)
-    check_study(methods, study_lengths, reps, args.jobs, method_params)
+    check_study(methods, lengths, reps, args.jobs, method_params)
+    if spec is not None:
+        check_study(methods, [spec.length], reps, args.jobs, method_params)
 
     reports = [run_null_study(
         methods, lengths, reps, args.seed, method_params=method_params, n_jobs=args.jobs

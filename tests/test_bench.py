@@ -121,6 +121,18 @@ class TestRunNullStudy:
         for method, params in good:
             check_study([method], [50], 2, 1, {method: params})
 
+    def test_rejects_repeated_methods_and_lengths(self):
+        # a repeated method or length once reran the same seeds and reported
+        # identical rows
+        spec = TeethSpec(length=60)
+        with mock.patch.object(bench, "_replicate", side_effect=AssertionError("ran")):
+            with pytest.raises(ValueError, match="method wbs is given more than once"):
+                run_null_study(["wbs", "binseg", "wbs"], [50], 2, 1)
+            with pytest.raises(ValueError, match="length 50 is given more than once"):
+                run_null_study(["wbs"], [50, 60, 50], 2, 1)
+            with pytest.raises(ValueError, match="method binseg"):
+                run_signal_study(spec, ["binseg", "binseg"], 2, 1)
+
     def test_rejects_fewer_than_one_job(self):
         # n_jobs 0 and -4 once ran serially without a word
         spec = TeethSpec(length=60)

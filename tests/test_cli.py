@@ -248,6 +248,27 @@ class TestBench:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, repeated", [
+        (["--methods", "wbs", "wbs", "--lengths", "50"], "method wbs"),
+        (["--methods", "wbs", "--lengths", "50", "50"], "length 50"),
+        (["--methods", "wbs", "wbs", "--lengths", "50", "50"], "method wbs"),
+    ])
+    def test_repeated_setting_exit_4(self, tmp_path, capsys, flags, repeated):
+        # repeats once reran the same seeds and wrote identical CSV rows
+        out = tmp_path / "out"
+        code = main(["bench", *flags, "--reps", "3", "--seed", "1", "--out", str(out)])
+        assert code == 4
+        assert f"{repeated} is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_teeth_length_may_equal_a_null_length(self, tmp_path):
+        # each study's lengths are checked on their own; the teeth length
+        # defaults to 200
+        code = main(["bench", "--methods", "binseg", "--lengths", "200", "--reps", "2",
+                     "--signal", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "signal_results.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_non_finite_detector_constant_exit_4(self, tmp_path, capsys, value):
         # --threshold-c nan once reported a false-positive rate of 0; the

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpdkit import ChangepointConfig, CostMatrix, config_distance, min_assignment
+from cpdkit import ChangepointConfig, config_distance, gen_teeth
 
 
 def brute_force_distance(times_a, times_b, n):
@@ -22,35 +22,6 @@ def brute_force_distance(times_a, times_b, n):
         for perm in itertools.permutations(range(len(larger)), len(smaller))
     )
     return abs(m - k) + best / n
-
-
-class TestMinAssignment:
-    def test_single_entry(self):
-        res = min_assignment(CostMatrix(np.array([[0.25]]), 100))
-        assert res.pairs == ((0, 0),)
-        assert res.total_cost == 0.25
-
-    def test_two_by_two(self):
-        res = min_assignment(CostMatrix(np.array([[1.0, 2.0], [3.0, 0.0]]), 10))
-        assert set(res.pairs) == {(0, 0), (1, 1)}
-        assert res.total_cost == 1.0
-
-    def test_dominated_row_unmatched(self):
-        # third row is worse everywhere; the 6 possible injections leave it out
-        cost = CostMatrix(np.array([[0.1, 0.7], [0.6, 0.05], [0.9, 0.8]]), 10)
-        res = min_assignment(cost)
-        matched_rows = {i for i, _ in res.pairs}
-        assert matched_rows == {0, 1}
-        assert res.total_cost == pytest.approx(0.15)
-
-    def test_empty_matrix(self):
-        res = min_assignment(CostMatrix(np.empty((0, 0)), 10))
-        assert res.pairs == ()
-        assert res.total_cost == 0.0
-
-    def test_rejects_negative_costs(self):
-        with pytest.raises(ValueError):
-            CostMatrix(np.array([[-0.1]]), 10)
 
 
 class TestConfigDistance:
@@ -115,14 +86,81 @@ def _random_config(rng, n, max_count=6):
     return ChangepointConfig.from_times(times.tolist(), n)
 
 
-def test_cli_import_leaves_assignment_solver_unloaded():
-    # scipy.optimize dominates the import time of cpdkit.cli, and detection
-    # never matches configurations; min_assignment imports it on first use
+def hungarian_distance(a, b):
+    """Reference: scipy's rectangular Hungarian solver on the integer gaps,
+    one final division."""
+    from scipy.optimize import linear_sum_assignment
+
+    larger, smaller = (a.times, b.times) if a.count >= b.count else (b.times, a.times)
+    if not smaller:
+        return float(len(larger))
+    gaps = np.abs(np.subtract.outer(np.array(larger), np.array(smaller)))
+    rows, cols = linear_sum_assignment(gaps)
+    return len(larger) - len(smaller) + int(gaps[rows, cols].sum()) / a.series_length
+
+
+def test_matches_hungarian_solver_on_long_configurations():
+    # crossing matchings are never needed on a line; the order-preserving DP
+    # must reach the same exact optimum as a general assignment solver
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(46)
+    n = 3000
+    teeth = [gen_teeth(n, period=30, seed=s)[1] for s in range(3)]
+    assert teeth[0].count == 99
+    for trial in range(400):
+        b = _random_config(rng, n, max_count=150)
+        a = teeth[trial % 3] if trial % 4 == 0 else _random_config(rng, n, max_count=150)
+        assert config_distance(a, b) == hungarian_distance(a, b)
+        assert config_distance(b, a) == hungarian_distance(b, a)
+
+
+def test_distance_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.integers(2, 120))
+        shift = draw(st.integers(0, n - 2))
+        times = st.sets(st.integers(2, n - shift), max_size=12)
+        return n, shift, sorted(draw(times)), sorted(draw(times))
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+    @hypothesis.given(pairs())
+    def check(pair):
+        n, shift, ta, tb = pair
+        a, b = ChangepointConfig(tuple(ta), n), ChangepointConfig(tuple(tb), n)
+        d = config_distance(a, b)
+        assert config_distance(b, a) == d
+        moved = [ChangepointConfig(tuple(t + shift for t in ts), n) for ts in (ta, tb)]
+        assert config_distance(*moved) == d
+        flipped = [ChangepointConfig.from_times([n + 2 - t for t in ts], n) for ts in (ta, tb)]
+        assert config_distance(*flipped) == d
+        assert config_distance(a, a) == 0.0
+        assert (d == 0.0) == (ta == tb)
+
+    check()
+
+
+def test_cli_import_leaves_assignment_solver_unloaded(tmp_path):
+    # the distance needs numpy only: importing the package and the CLI,
+    # matching two configurations and a signal study load no scipy module
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    code = "import sys, cpdkit.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    code = (
+        "import sys, cpdkit, cpdkit.cli\n"
+        "a = cpdkit.ChangepointConfig((5, 20, 40), 60)\n"
+        "b = cpdkit.ChangepointConfig((7, 38), 60)\n"
+        "assert cpdkit.config_distance(a, b) == 1 + 4 / 60\n"
+        "code = cpdkit.cli.main(['bench', '--methods', 'binseg', '--lengths', '60', '--reps',"
+        " '2', '--signal', '--teeth-length', '60', '--out', sys.argv[1]])\n"
+        "assert code == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "signal_results.csv").exists()
