@@ -4,11 +4,10 @@ Exact segment-neighborhood dynamic programming yields, for each count m, the
 configuration of m changepoints minimizing the residual sum of squares with
 every segment at least ``min_seg`` long; BIC and mBIC objectives are then
 evaluated across counts. A binary-chromosome genetic algorithm optimizes the
-same objectives directly, and a refinement step restricts the search to
-subsets of an externally supplied candidate list. For up to 20 candidates the
-refinement is exhaustive: numpy scores every subset of one size at a time,
-and exact rescoring of the few subsets that could win, within a stated
-rounding bound, keeps the result that of scoring each subset on its own.
+same objectives directly, as the penalized camp does; it may miss the global
+minimum. A refinement step finds the exact optimum over the subsets of an
+externally supplied candidate list by a branch and bound, rescoring exactly
+each subset within a stated rounding slack of the best.
 
 All of these score changepoint times through one objective, so they share
 one rule for perfect fits. With the variance unknown, the likelihood term
@@ -272,7 +271,9 @@ def select_mbic(series: TimeSeries, min_seg: int = 2) -> PenalizedFit:
 
     The segment-length term is scored on the RSS-optimal configuration per
     count, an approximation to the joint search (exact for BIC, whose penalty
-    depends on the count alone); :func:`ga_optimize` searches jointly.
+    depends on the count alone). :func:`hybrid_refine` with every time 2..T
+    as a candidate is the exact joint search; :func:`ga_optimize` searches
+    jointly at random.
     """
     return _select_penalized(series, "mbic", min_seg)
 
@@ -370,83 +371,79 @@ def ga_optimize(
     return _ga_search(objective, np.arange(2, n + 1), ga_params, seed)
 
 
-EXHAUSTIVE_CANDIDATE_LIMIT = 20
-
-
-def _exhaustive_search(objective: _Objective, pool: np.ndarray) -> PenalizedFit:
+def _subset_search(objective: _Objective, pool: np.ndarray) -> PenalizedFit:
     """The fit of the first minimum of ``objective.key`` over all subsets of
-    ``pool``, in size-then-lexicographic order.
-
-    Each size m is one batch. Its feasible subsets are rows of boundary
-    indices in lexicographic order, each a row of size m-1 extended by one
-    later candidate, and they carry running sums of their segment costs (one
-    ``_segment_cost`` table over the k+2 boundaries) and log segment lengths.
-    Batched values can differ from ``objective.key`` in the last bits (sum
-    order, ``np.log``), so only the rows that could win are rescored with
-    ``objective.key``, in order: every row whose RSS may be a perfect fit,
-    the first exact one winning outright, and every row whose value is
-    within its rounding bound of the least upper bound on the optimum.
-    """
+    ``pool`` in size-then-lexicographic order, by the branch and bound that
+    :func:`hybrid_refine` describes. Preorder visits the subsets of each size
+    in lexicographic order, and the best is replaced only on a smaller key."""
     n, min_seg = objective.n, objective.min_seg
     pool = pool[(pool >= 2) & (pool <= n)]  # any other time makes a subset infeasible
     k = pool.size
+    m_max = min(k, objective.m_max)  # no feasible subset has more changepoints
+    best_times, best_key = (), objective.key(())
+    if m_max < 1 or best_key[0] == -math.inf:
+        return objective.fit(best_times)
     bounds = np.concatenate(([0], pool - 1, [n]))  # prefix index of each boundary
     u, t = bounds[:, None], bounds[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         cost = _segment_cost(objective.s, objective.ss, u, t)  # [a, b]: boundary a to b
         log_len = np.log((t - u) / n)
-    reach = np.searchsorted(bounds, bounds + min_seg)  # first boundary min_seg after each
-    last_ok = np.searchsorted(bounds, n - min_seg, side="right") - 1  # last changepoint
-    # the sums differ from the key's by far less than this relative band
-    degenerate_tol = objective.zero_tol * (1 + 1e-9)
+    cost[t - u < min_seg] = log_len[t - u < min_seg] = np.inf
+    # [r, a]: from boundary a to the end through r more changepoints, the least
+    # RSS, the least log-length sum and the log sum along a least-RSS path
+    rest_rss, rest_log, path_log = np.empty((3, m_max + 1, k + 2))
+    rest_rss[0], rest_log[0], path_log[0] = cost[:, -1], log_len[:, -1], log_len[:, -1]
+    rows = np.arange(k + 2)
+    for r in range(1, m_max + 1):
+        via = np.argmin(cost + rest_rss[r - 1], axis=1)
+        rest_rss[r] = cost[rows, via] + rest_rss[r - 1, via]
+        path_log[r] = log_len[rows, via] + path_log[r - 1, via]
+        rest_log[r] = np.min(log_len + rest_log[r - 1], axis=1)
+    log_n, degenerate_tol = math.log(n), objective.zero_tol * (1 + 1e-9)
 
-    best_times, best_key = (), objective.key(())
-    if best_key[0] == -math.inf:
-        return objective.fit(best_times)
-    upper = best_key[0]  # an upper bound on the optimal value
-    combos = np.zeros((1, 0), dtype=np.uint8)  # boundary indices 1..k of each row
-    last, inner, inner_log = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
-    for m in range(1, min(k, objective.m_max) + 1):
-        first = reach[last]
-        counts = np.maximum(last_ok - first + 1, 0)
-        parent = np.repeat(np.arange(last.size), counts)
-        if parent.size == 0:
-            break
-        b = np.arange(parent.size) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        combos = np.hstack((combos[parent], b[:, None].astype(np.uint8)))
-        prev, last = last[parent], b
-        inner = inner[parent] + cost[prev, b]
-        rss = inner + cost[b, -1]
+    def value(rss, log_sum, count):
+        """The objective from running sums; -inf where the RSS may be a perfect fit."""
         with np.errstate(divide="ignore"):
             half_dev = 0.5 * n * np.log(rss / n)
         if objective.penalty_name == "bic":
-            penalty, lengths = (2 * m + 2) * math.log(n), 0.0
+            penalty = (2 * count + 2) * log_n
         else:
-            inner_log = inner_log[parent] + log_len[prev, b]
-            penalty, lengths = 1.5 * m * math.log(n), 0.5 * (inner_log + log_len[b, -1])
-        value = half_dev + penalty + lengths
-        # Rounding bound, with u = eps/2. The m+1 segment costs and segment
-        # lengths are the key's own; the sums of costs and of log lengths
-        # each lie within m*u of their exact values, and each log within
-        # 4 ulp of its own. Through the half-deviance, the penalty and the
-        # two final additions, |value - key value| is then at most
-        # u * (2(m+1) n/2 + 22 |half_dev| + (2m+20) |lengths| + 4 |penalty|),
-        # which 16u(m+2) times the sum of these magnitudes exceeds.
-        err = 8 * np.finfo(float).eps * (m + 2) * (
-            np.abs(half_dev) + abs(penalty) + np.abs(lengths) + 0.5 * n
+            penalty = 1.5 * count * log_n + 0.5 * log_sum
+        return np.where(rss <= degenerate_tol, -np.inf, half_dev + penalty)
+
+    # A value from running sums differs from the key's by rounding alone: sums
+    # of at most 26 RSS or log terms in another order than the key's, and each
+    # np.log within 4 ulp of math.log. A non-perfect RSS lies between 1e-12 and
+    # 1 times the null RSS, so no term exceeds about 30 T + |null value|, and
+    # the error stays below 1e-12 (T + |null value|). The slack is far above
+    # twice that, the most a bound and a key can differ by rounding.
+    slack = 1e-9 * (n + abs(best_key[0]))
+    least = value(rest_rss[:, 0], path_log[:, 0], np.arange(m_max + 1))
+    upper = float(np.min(least[rest_rss[:, 0] > degenerate_tol])) + slack
+
+    def visit(a: int, rss: float, log_sum: float, times: tuple[int, ...]) -> None:
+        nonlocal best_times, best_key
+        m = len(times) + 1  # the count of every child
+        b = np.arange(a + 1, k + 1)
+        child_rss, child_log = rss + cost[a, b], log_sum + log_len[a, b]
+        bound = value(  # [r, child]: row 0 is the child's own value
+            child_rss + rest_rss[: m_max - m + 1, b],
+            child_log + rest_log[: m_max - m + 1, b],
+            np.arange(m, m_max + 1)[:, None],
         )
-        maybe_degenerate = rss <= degenerate_tol
-        finite = ~maybe_degenerate
-        if finite.any():
-            upper = min(upper, float(np.min(value[finite] + err[finite])))
-        for row in np.flatnonzero(maybe_degenerate | (value - err <= upper)):
-            times = tuple((bounds[combos[row]] + 1).tolist())
-            key = objective.key(times)
-            if key[0] == -math.inf:
-                return objective.fit(times)
-            if key < best_key:
-                best_times, best_key = times, key
-        upper = min(upper, best_key[0])
+        reach = bound.min(axis=0)
+        for j in np.flatnonzero(reach <= min(upper, best_key[0]) + slack):
+            if best_key <= (-math.inf, m):
+                return  # only a smaller count beats a perfect fit
+            limit = min(upper, best_key[0]) + slack
+            if reach[j] <= limit:
+                child = (*times, int(pool[a + j]))
+                if bound[0, j] <= limit and (key := objective.key(child)) < best_key:
+                    best_times, best_key = child, key
+                if m < m_max:
+                    visit(a + 1 + j, child_rss[j], child_log[j], child)
+
+    visit(0, 0.0, 0.0, ())
     return objective.fit(best_times)
 
 
@@ -458,22 +455,23 @@ def hybrid_refine(
     ga_params: GaParams | None = None,
     min_seg: int = 2,
 ) -> PenalizedFit:
-    """Best penalized fit over subsets of a candidate list's changepoint times.
+    """Best penalized fit over subsets of a candidate list's changepoint times:
+    the first minimum of the objective in size-then-lexicographic order, exact
+    at any candidate count. Infeasible subsets (a segment shorter than
+    ``min_seg``, more than ``default_m_max`` changepoints, a time outside
+    2..T) are skipped; an empty candidate list yields the null fit.
 
-    Exhaustive up to EXHAUSTIVE_CANDIDATE_LIMIT candidates, over subsets in
-    size-then-lexicographic order with the first minimum winning; genetic
-    search above. Infeasible subsets are skipped; an empty candidate list
-    yields the null fit.
+    A depth-first branch and bound adds one later candidate per step. A suffix
+    DP over the candidates' boundaries gives the least RSS and the least log
+    segment-length sum of the rest at each further count; BIC and mBIC
+    increase in both, so the objective at the sums so far plus these bounds a
+    subtree below, and the least-RSS subset of each size bounds the optimum
+    above. A subset is rescored exactly when its value from running sums is
+    within a slack of 1e-9 (T + |null objective|) of the best known, far above
+    the rounding, or its RSS may be a perfect fit, so the fit is the one that
+    scoring every subset on its own gives.
 
-    The exhaustive search scores all subsets of one size at once in numpy,
-    feasible ones only, from running sums over a table of segment costs.
-    Those values may differ from the objective's in the last bits, so the
-    subsets that could still win are rescored exactly: each whose batched
-    RSS is within a relative 1e-9 of the zero-RSS tolerance (the first exact
-    perfect fit wins outright), and each whose batched value lies within a
-    rounding bound, from the magnitudes of its terms, of the least upper
-    bound on the optimum. The result is the fit that scoring each subset on
-    its own and taking the first minimum gives.
+    ``seed`` and ``ga_params`` are unused, kept for callers that pass them.
     """
     if candidates.series_length != len(series):
         raise ValueError(
@@ -481,6 +479,4 @@ def hybrid_refine(
         )
     objective = _Objective(series, penalty_name, min_seg)
     pool = np.array(sorted({e.changepoint_time for e in candidates.entries}), dtype=np.int64)
-    if pool.size > EXHAUSTIVE_CANDIDATE_LIMIT:
-        return _ga_search(objective, pool, ga_params, seed)
-    return _exhaustive_search(objective, pool)
+    return _subset_search(objective, pool)

@@ -195,15 +195,32 @@ class TestSelectMbic:
         )
 
 
+def _exact_oracle(series, penalty_name):
+    """The exact optimum over every configuration: the subset search of
+    hybrid_refine with every time 2..T as a candidate."""
+    n = len(series)
+    return hybrid_refine(series, _candidates_from_times(tuple(range(2, n + 1)), n), penalty_name)
+
+
 class TestGaOptimize:
     def test_never_beats_dp_and_usually_matches(self):
+        # the exact oracle equals the DP under BIC, whose penalty depends on
+        # the count alone; under mBIC the DP's per-count approximation and
+        # the GA may only score at or above it
         matches = 0
         for i in range(100):
             s = gen_null(60, 3000 + i)
             ga = ga_optimize(s, "bic", seed=4000 + i)
             dp = select_bic(s)
+            assert _exact_oracle(s, "bic").objective == pytest.approx(dp.objective, rel=1e-9)
             assert ga.objective >= dp.objective - 1e-9 * (1 + abs(dp.objective))
             matches += abs(ga.objective - dp.objective) <= 1e-9 * (1 + abs(dp.objective))
+            if i % 5 == 0:  # ten null and ten teeth series under mBIC
+                if i % 10 == 5:
+                    s, _ = gen_teeth(100, 20, 1.0, 0.5, seed=i)
+                exact = _exact_oracle(s, "mbic").objective
+                assert select_mbic(s).objective >= exact
+                assert ga_optimize(s, "mbic", seed=5000 + i).objective >= exact
         assert matches >= 90
 
     def test_constant_series_empty(self):
@@ -279,13 +296,30 @@ class TestHybridRefine:
             kept_clean += fit.config.times == truth.times
         assert kept_clean >= 90
 
-    def test_uses_ga_beyond_exhaustive_limit(self):
+    def test_exact_beyond_twenty_candidates(self):
+        # the pool holds the exact optimum over every configuration, so the
+        # best subset of the pool must be it
         series, truth = gen_teeth(200, 40, 3.0, 0.1, seed=77)
         pool = sorted(set(truth.times) | set(range(3, 200, 9)))
         assert len(pool) > 20
         cands = _candidates_from_times(tuple(pool), 200)
         fit = hybrid_refine(series, cands, "bic", seed=5)
-        assert set(truth.times) <= set(fit.config.times)
+        assert fit == _exact_oracle(series, "bic")
+        assert fit.config == truth
+
+    def test_global_minimum_of_forty_wbs2_candidates(self):
+        # a genetic search over these 40 candidates returned m=4 at objective
+        # -176.928; the exact optimum has as many changepoints as the truth
+        series, truth = gen_teeth(500, 25, 1.0, 0.5, seed=3)
+        ranked = wbs2_candidates(series, seed=0)
+        top = SortedCandidateList(entries=ranked.entries[:40], series_length=500)
+        fit = hybrid_refine(series, top, "mbic")
+        assert fit.config.count == truth.count == 19
+        assert fit.config.times == (
+            26, 51, 76, 101, 125, 151, 175, 202, 224, 251,
+            276, 299, 327, 351, 376, 401, 426, 451, 476,
+        )
+        assert fit.objective == pytest.approx(-217.013, abs=5e-4)
 
     def test_refines_wbs2_candidates(self):
         # top-ranked candidates from the sampler, exhaustively refined
@@ -461,7 +495,7 @@ def test_exhaustive_refine_matches_bit_vector_reference():
     # make exact ties between subsets
     rng = np.random.default_rng(41)
     cases = [(int(rng.integers(0, 13)), int(rng.integers(24, 80))) for _ in range(16)]
-    cases += [(0, 30), (penlik.EXHAUSTIVE_CANDIDATE_LIMIT, 24)]
+    cases += [(0, 30), (20, 24)]
     for i, (k, n) in enumerate(cases):
         noise = gen_null(n, 900 + i).values
         kinds = {
@@ -475,7 +509,7 @@ def test_exhaustive_refine_matches_bit_vector_reference():
         for (kind, values), min_seg, name in itertools.product(
             kinds.items(), (2, 3), ("bic", "mbic")
         ):
-            if k == penlik.EXHAUSTIVE_CANDIDATE_LIMIT and (kind, min_seg, name) != (
+            if k == 20 and (kind, min_seg, name) != (
                 "constant", 3, "bic"
             ):
                 continue  # 2**20 subsets: one case, every feasible subset scoring -inf
@@ -600,7 +634,7 @@ def _pinned_ga_fit(case):
     if case == "ga-teeth-mbic":
         series, _ = gen_teeth(80, 20, 2.0, 0.5, seed=5)
         return ga_optimize(series, "mbic", seed=5)
-    # the case of TestHybridRefine.test_uses_ga_beyond_exhaustive_limit
+    # the case of TestHybridRefine.test_exact_beyond_twenty_candidates
     series, truth = gen_teeth(200, 40, 3.0, 0.1, seed=77)
     pool = sorted(set(truth.times) | set(range(3, 200, 9)))
     return hybrid_refine(series, _candidates_from_times(tuple(pool), 200), "bic", seed=5)
@@ -609,11 +643,12 @@ def _pinned_ga_fit(case):
 @pytest.mark.parametrize("case, times, objective, rss", [
     ("ga-null-bic", (30,), 1.9873338008308892, 37.1393262133074),
     ("ga-teeth-mbic", (21, 41, 57, 61), -48.495303482722576, 13.761718535453523),
-    ("hybrid-ga", (41, 81, 121, 161), -407.6943077247608, 1.996793317625439),
+    ("hybrid-exact", (41, 81, 121, 161), -407.6943077247608, 1.996793317625439),
 ])
 def test_ga_outputs_are_pinned(case, times, objective, rss):
     # exact outputs of the GA's fixed settings and seeded draws: a change to
-    # the order or the arguments of any draw shows here
+    # the order or the arguments of any draw shows here; the hybrid case is
+    # the exact subset search over more than 20 candidates
     fit = _pinned_ga_fit(case)
     assert (fit.config.times, fit.objective, fit.rss) == (times, objective, rss)
 
