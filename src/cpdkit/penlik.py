@@ -188,7 +188,8 @@ class _Objective:
 
     For search, ``key`` scores infeasible times (a segment shorter than
     min_seg, or more than m_max changepoints) +inf and ranks perfect fits by
-    parsimony through the (objective, count) key.
+    parsimony through the (objective, count) key; ``keys`` gives the same
+    key for each row of a 0/1 population over a pool of times.
     """
 
     def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
@@ -217,13 +218,42 @@ class _Objective:
         return mbic_objective(rss, self.n, segment_lengths)
 
     def key(self, times) -> tuple[float, int]:
-        m = len(times)
-        if m <= self.m_max:
-            bounds = self._bounds(times)
-            lengths = np.diff(bounds)
-            if lengths.min() >= self.min_seg:
-                return (self.value(self._rss(bounds), lengths.tolist()), m)
-        return (math.inf, m)
+        if len(times) > self.m_max:
+            return (math.inf, len(times))
+        return self._block_keys(self._bounds(times)[None])[0]
+
+    def keys(self, pool: np.ndarray, population: np.ndarray) -> list[tuple[float, int]]:
+        """``key(pool[row])`` for each 0/1 row of ``population``, scored in one
+        pass per changepoint count; a row above m_max is (inf, count) unscored."""
+        counts = population.sum(axis=1)
+        keys = [(math.inf, m) for m in counts.tolist()]
+        for m in set(counts.tolist()):
+            if m <= self.m_max:
+                rows = np.flatnonzero(counts == m)
+                bounds = np.empty((rows.size, m + 2), dtype=np.int64)
+                bounds[:, 0], bounds[:, -1] = 0, self.n
+                bounds[:, 1:-1] = pool[np.nonzero(population[rows])[1]].reshape(rows.size, m) - 1
+                for row, key in zip(rows.tolist(), self._block_keys(bounds)):
+                    keys[row] = key
+        return keys
+
+    def _block_keys(self, bounds: np.ndarray) -> list[tuple[float, int]]:
+        """The key of each row of a C-contiguous block of bounds, one count.
+
+        The block's row sums equal the ``np.sum`` of each row alone bit for
+        bit, and the log terms stay ``math.log`` through :meth:`value`, so a
+        key does not depend on the block it is scored in.
+        """
+        m = bounds.shape[1] - 2
+        keys = [(math.inf, m)] * len(bounds)
+        lengths = np.diff(bounds, axis=1)
+        ok = lengths.min(axis=1) >= self.min_seg
+        bounds = bounds[ok]
+        rss = np.sum(_segment_cost(self.s, self.ss, bounds[:, :-1], bounds[:, 1:]), axis=1)
+        for j, rss_j, lengths_j in zip(np.flatnonzero(ok).tolist(), rss.tolist(),
+                                       lengths[ok].tolist()):
+            keys[j] = (self.value(rss_j, lengths_j), m)
+        return keys
 
     def fit(self, times, rss: float | None = None) -> PenalizedFit:
         """The fit of the given times; ``rss`` passes an RSS already known."""
@@ -300,6 +330,10 @@ class GaParams:
     generations: int = 200
 
     def __post_init__(self):
+        for name in ("population", "generations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population < 1:
             raise ValueError(f"population must be at least 1, got {self.population}")
         if self.generations < 0:
@@ -310,45 +344,61 @@ def _ga_search(
     objective: _Objective, pool: np.ndarray, ga_params: GaParams | None, seed: Seed
 ) -> PenalizedFit:
     """Binary GA over bit vectors selecting changepoint times from ``pool``
-    (at least two), minimizing ``objective.key``; the fit of the best found."""
+    (at least two), minimizing ``objective.key``; the fit of the best found.
+
+    A generation is scored in one :meth:`_Objective.keys` call: a row held
+    by the previous generation takes its key from there, found by its packed
+    bits, and the other distinct rows are scored batched by count, each to
+    the key it gets alone. The draws are those of breeding one child at a
+    time, in the same order: a pair's two tournaments are one (2, 3) integer
+    draw and its two mutation masks one (2, bits) uniform draw, which the
+    generator fills from the stream as it would the two draws. A tournament
+    goes to the first draw of least dense rank, in which equal keys share a
+    rank, so ties go to the earlier draw, as a ``min`` over the keys has it.
+    """
     params = ga_params or GaParams()
     rng = np.random.default_rng(seed)
     size, n_bits = params.population, pool.size
     mutation_rate = _MUTATIONS_PER_CHILD / n_bits
+    n_elite, pair_rows = min(_ELITISM, size), np.arange(2)
 
-    def key(bits: np.ndarray) -> tuple[float, int]:
-        return objective.key(pool[bits.astype(bool)])
+    def score(population: np.ndarray, previous: dict) -> tuple[list, dict]:
+        """The key of each row, and the keys by packed row."""
+        packed = [row.tobytes() for row in np.packbits(population, axis=1)]
+        known, fresh = {}, {}  # fresh: packed row -> first row index, unscored rows
+        for i, bits in enumerate(packed):
+            if bits in previous:
+                known[bits] = previous[bits]
+            else:
+                fresh.setdefault(bits, i)
+        known.update(zip(fresh, objective.keys(pool, population[list(fresh.values())])))
+        return [known[bits] for bits in packed], known
 
     population = (rng.random((size, n_bits)) < _INIT_DENSITY).astype(np.int8)
     population[0, :] = 0  # always anchor the null model
-    keys = [key(ind) for ind in population]
-    best_idx = min(range(size), key=keys.__getitem__)
-    best_bits, best_key = population[best_idx].copy(), keys[best_idx]
+    keys, known = score(population, {})
 
     for _ in range(params.generations):
-        order = sorted(range(size), key=keys.__getitem__)
-        children = [population[i].copy() for i in order[:_ELITISM]]
-        while len(children) < size:
-            p1, p2 = (
-                population[min(rng.integers(0, size, size=_TOURNAMENT), key=keys.__getitem__)]
-                for _ in range(2)
-            )
-            c1, c2 = p1.copy(), p2.copy()
+        rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
+        rank = np.array([rank_of[key] for key in keys])
+        children = np.empty_like(population)
+        children[:n_elite] = population[np.argsort(rank, kind="stable")[:n_elite]]
+        for i in range(n_elite, size, 2):
+            draws = rng.integers(0, size, size=(2, _TOURNAMENT))
+            parents = draws[pair_rows, np.argmin(rank[draws], axis=1)]
+            pair = population[parents]
             if rng.random() < _CROSSOVER_RATE:
                 lo, hi = np.sort(rng.choice(n_bits, size=2, replace=False))
-                c1[lo:hi], c2[lo:hi] = p2[lo:hi], p1[lo:hi]
-            for child in (c1, c2):
-                child[rng.random(n_bits) < mutation_rate] ^= 1
-                if len(children) < size:
-                    children.append(child)
+                pair[:, lo:hi] = population[parents[::-1], lo:hi]
+            pair ^= rng.random((2, n_bits)) < mutation_rate
+            children[i : i + 2] = pair[: size - i]  # an odd size drops the last child
+        population = children
+        keys, known = score(population, known)
 
-        population = np.array(children, dtype=np.int8)
-        keys = [key(ind) for ind in population]
-        gen_best = min(range(size), key=keys.__getitem__)
-        if keys[gen_best] < best_key:
-            best_bits, best_key = population[gen_best].copy(), keys[gen_best]
-
-    return objective.fit(pool[best_bits.astype(bool)])
+    # the elite carry the best forward to row 0, so the last generation's
+    # first least key is the best found
+    best = min(range(size), key=keys.__getitem__)
+    return objective.fit(pool[population[best].astype(bool)])
 
 
 def ga_optimize(

@@ -634,6 +634,18 @@ def _pinned_ga_fit(case):
     if case == "ga-teeth-mbic":
         series, _ = gen_teeth(80, 20, 2.0, 0.5, seed=5)
         return ga_optimize(series, "mbic", seed=5)
+    if case == "ga-teeth-500-mbic":  # the benchmark's shape
+        series, _ = gen_teeth(500, 30, 1.0, 0.3, seed=11)
+        return ga_optimize(series, "mbic", ga_params=GaParams(), seed=11)
+    if case == "ga-population-1":  # fewer individuals than the elite
+        series, _ = gen_teeth(80, 20, 2.0, 0.5, seed=6)
+        return ga_optimize(series, "bic", ga_params=GaParams(population=1, generations=3), seed=6)
+    if case == "ga-population-3":  # the last pair's second child is drawn, then dropped
+        series, _ = gen_teeth(80, 20, 2.0, 0.5, seed=7)
+        return ga_optimize(series, "mbic", ga_params=GaParams(population=3, generations=5), seed=7)
+    if case == "ga-generations-0":  # the initial draw alone
+        series, _ = gen_teeth(6, 2, 5.0, 0.5, seed=0)
+        return ga_optimize(series, "bic", ga_params=GaParams(population=4, generations=0), seed=0)
     # the case of TestHybridRefine.test_exact_beyond_twenty_candidates
     series, truth = gen_teeth(200, 40, 3.0, 0.1, seed=77)
     pool = sorted(set(truth.times) | set(range(3, 200, 9)))
@@ -644,6 +656,12 @@ def _pinned_ga_fit(case):
     ("ga-null-bic", (30,), 1.9873338008308892, 37.1393262133074),
     ("ga-teeth-mbic", (21, 41, 57, 61), -48.495303482722576, 13.761718535453523),
     ("hybrid-exact", (41, 81, 121, 161), -407.6943077247608, 1.996793317625439),
+    ("ga-teeth-500-mbic",
+     (32, 59, 90, 120, 122, 151, 181, 211, 242, 271, 301, 332, 360, 391, 420, 451, 481),
+     -465.9393155885311, 45.81581167691232),
+    ("ga-population-1", (), 11.100228970813792, 84.8114898565255),
+    ("ga-population-3", (14,), 2.248439989277736, 73.61448230023792),
+    ("ga-generations-0", (3, 5), -0.42206485096049917, 0.14479334603525906),
 ])
 def test_ga_outputs_are_pinned(case, times, objective, rss):
     # exact outputs of the GA's fixed settings and seeded draws: a change to
@@ -656,10 +674,12 @@ def test_ga_outputs_are_pinned(case, times, objective, rss):
 @pytest.mark.parametrize("kwargs", [
     {"population": 0}, {"population": -5}, {"generations": -1},
     {"population": -5, "generations": -2},
+    {"population": 2.5}, {"population": math.nan}, {"population": True},
+    {"generations": 1.5}, {"generations": math.inf},
 ])
 def test_ga_params_reject_empty_search(kwargs):
     # a non-positive population was once run as one individual, and negative
-    # generations as zero
+    # generations as zero; a non-integral size once failed late, in the search
     with pytest.raises(ValueError, match="population|generations"):
         GaParams(**kwargs)
 
@@ -684,3 +704,129 @@ def test_penalized_paths_reject_min_seg_below_two(min_seg):
     for call in calls:
         with pytest.raises(ValueError, match="min_seg must be at least 2"):
             call()
+
+
+def test_ga_params_accept_numpy_integers():
+    params = GaParams(population=np.int64(4), generations=np.int32(2))
+    fit = ga_optimize(gen_null(30, 2), "bic", ga_params=params, seed=1)
+    assert fit == ga_optimize(gen_null(30, 2), "bic", ga_params=GaParams(4, 2), seed=1)
+
+
+def _one_subset_key(objective, times):
+    """The search key as scored one subset at a time, by a 1-D np.sum."""
+    m = len(times)
+    bounds = np.subtract((1, *times, objective.n + 1), 1)
+    lengths = np.diff(bounds)
+    if m > objective.m_max or lengths.min() < objective.min_seg:
+        return (math.inf, m)
+    return (objective.value(objective._rss(bounds), lengths.tolist()), m)
+
+
+@pytest.mark.parametrize("name, min_seg", itertools.product(("bic", "mbic"), (2, 3)))
+def test_batched_keys_equal_one_row_keys(name, min_seg):
+    # the GA scores a generation in one batch per count; each key must be,
+    # to the bit, the key of its row scored alone
+    rng = np.random.default_rng(17)
+    n = 60  # above 52 the cap of 25 changepoints binds before min_seg 2 does
+    steps, truth = gen_teeth(n, 10, 1.0, 0.0, seed=1)  # piecewise constant
+    noise = gen_null(n, 2).values
+    series = [gen_null(n, 3), TimeSeries(1e8 + noise), TimeSeries(np.round(3 * noise)), steps]
+    pool = np.arange(2, n + 1)
+    seen = set()
+    for s in series:
+        objective = penlik._Objective(s, name, min_seg)
+        population = np.concatenate([
+            (rng.random((40, pool.size)) < density).astype(np.int8)
+            for density in (0.03, 0.08, 0.15, 0.3, 0.6)
+        ])
+        perfect = np.isin(pool, truth.times).astype(np.int8)
+        extra = (rng.random((10, pool.size)) < 0.05).astype(np.int8)
+        spaced = np.zeros((2, pool.size), np.int8)  # min_seg apart, m_max and m_max + 1
+        for i, m in enumerate((objective.m_max, objective.m_max + 1)):
+            spaced[i, min_seg - 1 : (m + 1) * min_seg - 1 : min_seg] = 1
+        population = np.concatenate([
+            population, population[::7], perfect[None], perfect | extra, spaced,
+            np.zeros((2, pool.size), np.int8),
+        ])
+        batched = objective.keys(pool, population)
+        assert len(batched) == len(population)
+        for row, key in zip(population, batched):
+            times = tuple(pool[row.astype(bool)].tolist())
+            alone = objective.key(times)
+            assert key == alone == _one_subset_key(objective, times)
+            assert repr(key) == repr(alone)
+            seen.add("above m_max" if len(times) > objective.m_max
+                     else "infeasible" if key[0] == math.inf
+                     else "perfect" if key[0] == -math.inf else "scored")
+    assert seen == {"above m_max", "infeasible", "perfect", "scored"}
+
+
+def _one_child_at_a_time_ga(objective, pool, params, seed):
+    """The GA as it once ran, scoring one individual at a time and taking
+    each tournament's ``min`` over the keys: every generation's population,
+    and the fit of the best found."""
+    rng = np.random.default_rng(seed)
+    size, n_bits = params.population, pool.size
+
+    def key(bits):
+        return objective.key(pool[bits.astype(bool)])
+
+    population = (rng.random((size, n_bits)) < penlik._INIT_DENSITY).astype(np.int8)
+    population[0, :] = 0
+    generations = [population]
+    keys = [key(ind) for ind in population]
+    best_idx = min(range(size), key=keys.__getitem__)
+    best_bits, best_key = population[best_idx].copy(), keys[best_idx]
+    for _ in range(params.generations):
+        order = sorted(range(size), key=keys.__getitem__)
+        children = [population[i].copy() for i in order[:penlik._ELITISM]]
+        while len(children) < size:
+            p1, p2 = (
+                population[min(rng.integers(0, size, size=penlik._TOURNAMENT),
+                               key=keys.__getitem__)]
+                for _ in range(2)
+            )
+            c1, c2 = p1.copy(), p2.copy()
+            if rng.random() < penlik._CROSSOVER_RATE:
+                lo, hi = np.sort(rng.choice(n_bits, size=2, replace=False))
+                c1[lo:hi], c2[lo:hi] = p2[lo:hi], p1[lo:hi]
+            for child in (c1, c2):
+                child[rng.random(n_bits) < penlik._MUTATIONS_PER_CHILD / n_bits] ^= 1
+                if len(children) < size:
+                    children.append(child)
+        population = np.array(children, dtype=np.int8)
+        generations.append(population)
+        keys = [key(ind) for ind in population]
+        gen_best = min(range(size), key=keys.__getitem__)
+        if keys[gen_best] < best_key:
+            best_bits, best_key = population[gen_best].copy(), keys[gen_best]
+    return generations, objective.fit(pool[best_bits.astype(bool)])
+
+
+@pytest.mark.parametrize("size, seed", [(21, 3), (8, 6)])
+def test_ga_breeds_as_one_child_at_a_time(size, seed):
+    # every generation, not just the fit, must be the one-at-a-time GA's:
+    # each generation scores exactly the distinct rows the one before did not
+    # hold. Tournament ties between infeasible keys broken by index, not by
+    # draw order, change the generations while the fits seldom show it
+    series = gen_null(30, seed)
+    objective = penlik._Objective(series, "mbic")
+    pool = np.arange(2, 31)
+    params = GaParams(population=size, generations=25)
+    batches = []
+    keys = penlik._Objective.keys
+
+    def recording(self, pool, population):
+        batches.append([row.tobytes() for row in population])
+        return keys(self, pool, population)
+
+    with mock.patch.object(penlik._Objective, "keys", recording):
+        fit = penlik._ga_search(objective, pool, params, seed)
+    generations, expected_fit = _one_child_at_a_time_ga(objective, pool, params, seed)
+    expected, previous = [], set()
+    for population in generations:
+        rows = list(dict.fromkeys(row.tobytes() for row in population))
+        expected.append([row for row in rows if row not in previous])
+        previous = set(rows)
+    assert batches == expected
+    assert fit == expected_fit
