@@ -4,8 +4,10 @@ report per-method false-positive rates and average configuration distances."""
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import inspect
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -68,11 +70,12 @@ def _unknown_method(method: str) -> ValueError:
     return ValueError(f"unknown method {method!r}; valid methods: {', '.join(VALID_METHODS)}")
 
 
-def run_detector(
+def run_method(
     method: str, series: TimeSeries, seed: Seed, params: dict | None = None
-) -> ChangepointConfig | PenalizedFit:
-    """Call the named detector with ``params`` as keyword arguments, plus
-    ``seed`` if it takes one, and return what it returns.
+) -> ChangepointConfig:
+    """Changepoints of the named detector, called with ``params`` as keyword
+    arguments plus ``seed`` if it takes one; of a bic/mbic fit, its
+    configuration.
 
     Parameters left out take the detector's own defaults; a parameter the
     detector does not take raises TypeError.
@@ -80,16 +83,7 @@ def run_detector(
     if method not in METHODS:
         raise _unknown_method(method)
     detector, seeded = METHODS[method]
-    if seeded:
-        return detector(series, seed=seed, **(params or {}))
-    return detector(series, **(params or {}))
-
-
-def run_method(
-    method: str, series: TimeSeries, seed: Seed, params: dict | None = None
-) -> ChangepointConfig:
-    """Changepoints of one named detector, as :func:`run_detector` runs it."""
-    result = run_detector(method, series, seed, params)
+    result = detector(series, **({"seed": seed} if seeded else {}), **(params or {}))
     return result.config if isinstance(result, PenalizedFit) else result
 
 
@@ -126,6 +120,10 @@ class BenchmarkReport:
             if r.method == method and r.series_length == series_length:
                 return r
         raise KeyError(f"no row for ({method}, {series_length})")
+
+
+# replications sent to a worker process at a time
+_CHUNKSIZE = 8
 
 
 def _replicate(args) -> dict[str, tuple[int, float]]:
@@ -195,26 +193,30 @@ def _run_study(study, methods, lengths, teeth, n_reps, master_seed, method_param
     check_study(methods, lengths, n_reps, n_jobs, method_params)
 
     rows: list[ReportRow] = []
-    for length in lengths:
-        jobs = [(methods, length, teeth, rep, master_seed, method_params)
-                for rep in range(n_reps)]
-        if n_jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                per_rep = list(pool.map(_replicate, jobs, chunksize=8))
-        else:
-            per_rep = [_replicate(job) for job in jobs]
-        for method in methods:
-            counts = np.array([out[method][0] for out in per_rep])
-            dists = np.array([out[method][1] for out in per_rep])
-            rows.append(
-                ReportRow(
-                    method=method,
-                    series_length=length,
-                    n_reps=n_reps,
-                    false_positive_rate=float(np.mean(counts >= 1)),
-                    avg_distance=float(np.mean(dists)),
+    # a pool starts all of its workers at once, so it gets no more workers
+    # than one length's replications make chunks
+    workers = min(n_jobs, math.ceil(n_reps / _CHUNKSIZE))
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for length in lengths:
+            jobs = [(methods, length, teeth, rep, master_seed, method_params)
+                    for rep in range(n_reps)]
+            if pool is None:
+                per_rep = [_replicate(job) for job in jobs]
+            else:
+                per_rep = list(pool.map(_replicate, jobs, chunksize=_CHUNKSIZE))
+            for method in methods:
+                counts = np.array([out[method][0] for out in per_rep])
+                dists = np.array([out[method][1] for out in per_rep])
+                rows.append(
+                    ReportRow(
+                        method=method,
+                        series_length=length,
+                        n_reps=n_reps,
+                        false_positive_rate=float(np.mean(counts >= 1)),
+                        avg_distance=float(np.mean(dists)),
+                    )
                 )
-            )
     return BenchmarkReport(rows=tuple(rows), master_seed=int(master_seed), study=study)
 
 

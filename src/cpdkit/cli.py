@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    METHODS,
     TeethSpec,
     VALID_METHODS,
     check_study,
     format_table,
-    run_detector,
     run_method,
     run_null_study,
     run_signal_study,
@@ -149,7 +149,7 @@ def cmd_detect(args) -> int:
         "sigma_hat": mad_sigma(series),
     }
     if args.method in ("bic", "mbic"):
-        fit = run_detector(args.method, series, args.seed, params)
+        fit = METHODS[args.method].detector(series, **params)
         config = fit.config
         # a perfect fit has objective -inf, which JSON cannot carry
         result["objective"] = fit.objective if not fit.degenerate else None

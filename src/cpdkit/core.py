@@ -24,14 +24,15 @@ _MAD_DENOM = MAD_NORMAL_CONSTANT * math.sqrt(2.0)
 class TimeSeries:
     """An ordered, finite, real-valued series of length T >= 2.
 
-    ``values`` is stored as a read-only float64 array and must never be
-    mutated by callers.
+    ``values`` is stored as a read-only float64 copy of the input, so the
+    caller's array stays writable and later writes to it do not reach the
+    series.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:

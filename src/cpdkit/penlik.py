@@ -10,9 +10,10 @@ externally supplied candidate list by a branch and bound, rescoring exactly
 each subset within a stated rounding slack of the best.
 
 All of these score changepoint times through one objective, so they share
-one rule for perfect fits. With the variance unknown, the likelihood term
-(T/2) ln(rss/T) diverges as rss -> 0, so the search space is constrained by
-``min_seg`` (default 2) and a cap on m, and a fit whose RSS is within
+one BIC/mBIC formula (``_Objective.value``) and one rule for perfect fits.
+With the variance unknown, the likelihood term (T/2) ln(rss/T) diverges as
+rss -> 0, so the search space is constrained by ``min_seg`` (default 2) and
+a cap on m, and a fit whose RSS is within
 ``_ZERO_RSS_RTOL * null-model RSS`` counts as perfect: its objective is -inf,
 it is flagged degenerate, and among perfect fits the smallest count wins. The
 rule is relative, so rescaling the series leaves the fit unchanged, and a
@@ -158,30 +159,6 @@ def default_m_max(n_obs: int, min_seg: int = 2) -> int:
     return min(n_obs // min_seg - 1, M_MAX_CAP)
 
 
-def bic_objective(rss: float, n_obs: int, n_changepoints: int) -> float:
-    """BIC with 2m+2 parameters (m locations, m+1 means, one variance).
-
-    The penalty enters as (2m+2) ln T against the half-deviance term; this
-    scale keeps BIC strictly more conservative than mBIC on pure noise.
-    """
-    if rss <= 0:
-        return -math.inf
-    return 0.5 * n_obs * math.log(rss / n_obs) + (2 * n_changepoints + 2) * math.log(n_obs)
-
-
-def mbic_objective(rss: float, n_obs: int, segment_lengths) -> float:
-    """mBIC: 3/2 m ln T plus half the summed log relative segment lengths."""
-    if rss <= 0:
-        return -math.inf
-    m = len(segment_lengths) - 1
-    length_term = sum(math.log(l / n_obs) for l in segment_lengths)
-    return (
-        0.5 * n_obs * math.log(rss / n_obs)
-        + 1.5 * m * math.log(n_obs)
-        + 0.5 * length_term
-    )
-
-
 class _Objective:
     """BIC or mBIC of changepoint times on one series, with the zero-RSS
     tolerance every penalized path shares.
@@ -189,7 +166,7 @@ class _Objective:
     For search, ``key`` scores infeasible times (a segment shorter than
     min_seg, or more than m_max changepoints) +inf and ranks perfect fits by
     parsimony through the (objective, count) key; ``keys`` gives the same
-    key for each row of a 0/1 population over a pool of times.
+    key for each row of a 0/1 population whose bit i stands for time i + 2.
     """
 
     def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
@@ -197,6 +174,7 @@ class _Objective:
             raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
         _check_min_seg(min_seg)
         self.n = len(series)
+        self.log_n = math.log(self.n)
         self.penalty_name = penalty_name
         self.min_seg = min_seg
         self.m_max = default_m_max(self.n, min_seg)
@@ -210,21 +188,34 @@ class _Objective:
     def _rss(self, bounds: np.ndarray) -> float:
         return float(np.sum(_segment_cost(self.s, self.ss, bounds[:-1], bounds[1:])))
 
-    def value(self, rss: float, segment_lengths) -> float:
+    def value(self, rss, log_sum, count, log=math.log):
+        """The objective of ``count`` changepoints at RSS ``rss``, with no
+        zero-RSS rule; ``log`` is ``np.log`` over arrays. BIC counts 2m+2
+        parameters (m locations, m+1 means, one variance), a scale that keeps
+        it strictly more conservative than mBIC on pure noise; mBIC adds 3/2 m
+        ln T and half of ``log_sum``, the summed log relative segment lengths.
+        """
+        half_dev = 0.5 * self.n * log(rss / self.n)
+        if self.penalty_name == "bic":
+            return half_dev + (2 * count + 2) * self.log_n
+        return half_dev + 1.5 * count * self.log_n + 0.5 * log_sum
+
+    def score(self, rss: float, segment_lengths) -> float:
+        """The objective of a fit; -inf where the RSS counts as a perfect fit."""
         if rss <= self.zero_tol:
             return -math.inf
-        if self.penalty_name == "bic":
-            return bic_objective(rss, self.n, len(segment_lengths) - 1)
-        return mbic_objective(rss, self.n, segment_lengths)
+        log_sum = (sum(math.log(l / self.n) for l in segment_lengths)
+                   if self.penalty_name == "mbic" else 0.0)
+        return self.value(rss, log_sum, len(segment_lengths) - 1)
 
     def key(self, times) -> tuple[float, int]:
         if len(times) > self.m_max:
             return (math.inf, len(times))
         return self._block_keys(self._bounds(times)[None])[0]
 
-    def keys(self, pool: np.ndarray, population: np.ndarray) -> list[tuple[float, int]]:
-        """``key(pool[row])`` for each 0/1 row of ``population``, scored in one
-        pass per changepoint count; a row above m_max is (inf, count) unscored."""
+    def keys(self, population: np.ndarray) -> list[tuple[float, int]]:
+        """The key of each 0/1 row (bit i: time i + 2), scored in one pass per
+        changepoint count; a row above m_max is (inf, count) unscored."""
         counts = population.sum(axis=1)
         keys = [(math.inf, m) for m in counts.tolist()]
         for m in set(counts.tolist()):
@@ -232,7 +223,7 @@ class _Objective:
                 rows = np.flatnonzero(counts == m)
                 bounds = np.empty((rows.size, m + 2), dtype=np.int64)
                 bounds[:, 0], bounds[:, -1] = 0, self.n
-                bounds[:, 1:-1] = pool[np.nonzero(population[rows])[1]].reshape(rows.size, m) - 1
+                bounds[:, 1:-1] = np.nonzero(population[rows])[1].reshape(rows.size, m) + 1
                 for row, key in zip(rows.tolist(), self._block_keys(bounds)):
                     keys[row] = key
         return keys
@@ -241,7 +232,7 @@ class _Objective:
         """The key of each row of a C-contiguous block of bounds, one count.
 
         The block's row sums equal the ``np.sum`` of each row alone bit for
-        bit, and the log terms stay ``math.log`` through :meth:`value`, so a
+        bit, and the log terms stay ``math.log`` through :meth:`score`, so a
         key does not depend on the block it is scored in.
         """
         m = bounds.shape[1] - 2
@@ -252,7 +243,7 @@ class _Objective:
         rss = np.sum(_segment_cost(self.s, self.ss, bounds[:, :-1], bounds[:, 1:]), axis=1)
         for j, rss_j, lengths_j in zip(np.flatnonzero(ok).tolist(), rss.tolist(),
                                        lengths[ok].tolist()):
-            keys[j] = (self.value(rss_j, lengths_j), m)
+            keys[j] = (self.score(rss_j, lengths_j), m)
         return keys
 
     def fit(self, times, rss: float | None = None) -> PenalizedFit:
@@ -262,7 +253,7 @@ class _Objective:
             rss = self._rss(self._bounds(config.times))
         return PenalizedFit(
             config=config,
-            objective=self.value(rss, config.segment_lengths()),
+            objective=self.score(rss, config.segment_lengths()),
             penalty_name=self.penalty_name,
             rss=rss,
             degenerate=rss <= self.zero_tol,
@@ -286,7 +277,7 @@ def _select_penalized(series: TimeSeries, penalty_name: str, min_seg: int) -> Pe
     table = segment_rss_table(series, objective.m_max, min_seg)
     best = min(
         range(table.m_max + 1),
-        key=lambda m: (objective.value(table.rss[m], table.config(m).segment_lengths()), m),
+        key=lambda m: (objective.score(table.rss[m], table.config(m).segment_lengths()), m),
     )
     return objective.fit(table.configs[best], table.rss[best])
 
@@ -340,11 +331,18 @@ class GaParams:
             raise ValueError(f"generations must be non-negative, got {self.generations}")
 
 
-def _ga_search(
-    objective: _Objective, pool: np.ndarray, ga_params: GaParams | None, seed: Seed
+def ga_optimize(
+    series: TimeSeries,
+    penalty_name: str,
+    ga_params: GaParams | None = None,
+    seed: Seed = 0,
+    min_seg: int = 2,
 ) -> PenalizedFit:
-    """Binary GA over bit vectors selecting changepoint times from ``pool``
-    (at least two), minimizing ``objective.key``; the fit of the best found.
+    """Genetic-algorithm search over all admissible changepoint positions.
+
+    One bit per position 2..T (bit i stands for time i + 2); the same
+    objective and feasibility constraints as the exact selectors, so the
+    returned objective can never undercut the dynamic-programming optimum.
 
     A generation is scored in one :meth:`_Objective.keys` call: a row held
     by the previous generation takes its key from there, found by its packed
@@ -356,9 +354,13 @@ def _ga_search(
     goes to the first draw of least dense rank, in which equal keys share a
     rank, so ties go to the earlier draw, as a ``min`` over the keys has it.
     """
+    n = len(series)
+    if n < 6:
+        raise ValueError(f"need at least 6 observations, got {n}")
+    objective = _Objective(series, penalty_name, min_seg)
     params = ga_params or GaParams()
     rng = np.random.default_rng(seed)
-    size, n_bits = params.population, pool.size
+    size, n_bits = params.population, n - 1
     mutation_rate = _MUTATIONS_PER_CHILD / n_bits
     n_elite, pair_rows = min(_ELITISM, size), np.arange(2)
 
@@ -371,7 +373,7 @@ def _ga_search(
                 known[bits] = previous[bits]
             else:
                 fresh.setdefault(bits, i)
-        known.update(zip(fresh, objective.keys(pool, population[list(fresh.values())])))
+        known.update(zip(fresh, objective.keys(population[list(fresh.values())])))
         return [known[bits] for bits in packed], known
 
     population = (rng.random((size, n_bits)) < _INIT_DENSITY).astype(np.int8)
@@ -398,103 +400,7 @@ def _ga_search(
     # the elite carry the best forward to row 0, so the last generation's
     # first least key is the best found
     best = min(range(size), key=keys.__getitem__)
-    return objective.fit(pool[population[best].astype(bool)])
-
-
-def ga_optimize(
-    series: TimeSeries,
-    penalty_name: str,
-    ga_params: GaParams | None = None,
-    seed: Seed = 0,
-    min_seg: int = 2,
-) -> PenalizedFit:
-    """Genetic-algorithm search over all admissible changepoint positions.
-
-    One bit per position 2..T; the same objective and feasibility constraints
-    as the exact selectors, so the returned objective can never undercut the
-    dynamic-programming optimum.
-    """
-    n = len(series)
-    if n < 6:
-        raise ValueError(f"need at least 6 observations, got {n}")
-    objective = _Objective(series, penalty_name, min_seg)
-    return _ga_search(objective, np.arange(2, n + 1), ga_params, seed)
-
-
-def _subset_search(objective: _Objective, pool: np.ndarray) -> PenalizedFit:
-    """The fit of the first minimum of ``objective.key`` over all subsets of
-    ``pool`` in size-then-lexicographic order, by the branch and bound that
-    :func:`hybrid_refine` describes. Preorder visits the subsets of each size
-    in lexicographic order, and the best is replaced only on a smaller key."""
-    n, min_seg = objective.n, objective.min_seg
-    pool = pool[(pool >= 2) & (pool <= n)]  # any other time makes a subset infeasible
-    k = pool.size
-    m_max = min(k, objective.m_max)  # no feasible subset has more changepoints
-    best_times, best_key = (), objective.key(())
-    if m_max < 1 or best_key[0] == -math.inf:
-        return objective.fit(best_times)
-    bounds = np.concatenate(([0], pool - 1, [n]))  # prefix index of each boundary
-    u, t = bounds[:, None], bounds[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cost = _segment_cost(objective.s, objective.ss, u, t)  # [a, b]: boundary a to b
-        log_len = np.log((t - u) / n)
-    cost[t - u < min_seg] = log_len[t - u < min_seg] = np.inf
-    # [r, a]: from boundary a to the end through r more changepoints, the least
-    # RSS, the least log-length sum and the log sum along a least-RSS path
-    rest_rss, rest_log, path_log = np.empty((3, m_max + 1, k + 2))
-    rest_rss[0], rest_log[0], path_log[0] = cost[:, -1], log_len[:, -1], log_len[:, -1]
-    rows = np.arange(k + 2)
-    for r in range(1, m_max + 1):
-        via = np.argmin(cost + rest_rss[r - 1], axis=1)
-        rest_rss[r] = cost[rows, via] + rest_rss[r - 1, via]
-        path_log[r] = log_len[rows, via] + path_log[r - 1, via]
-        rest_log[r] = np.min(log_len + rest_log[r - 1], axis=1)
-    log_n, degenerate_tol = math.log(n), objective.zero_tol * (1 + 1e-9)
-
-    def value(rss, log_sum, count):
-        """The objective from running sums; -inf where the RSS may be a perfect fit."""
-        with np.errstate(divide="ignore"):
-            half_dev = 0.5 * n * np.log(rss / n)
-        if objective.penalty_name == "bic":
-            penalty = (2 * count + 2) * log_n
-        else:
-            penalty = 1.5 * count * log_n + 0.5 * log_sum
-        return np.where(rss <= degenerate_tol, -np.inf, half_dev + penalty)
-
-    # A value from running sums differs from the key's by rounding alone: sums
-    # of at most 26 RSS or log terms in another order than the key's, and each
-    # np.log within 4 ulp of math.log. A non-perfect RSS lies between 1e-12 and
-    # 1 times the null RSS, so no term exceeds about 30 T + |null value|, and
-    # the error stays below 1e-12 (T + |null value|). The slack is far above
-    # twice that, the most a bound and a key can differ by rounding.
-    slack = 1e-9 * (n + abs(best_key[0]))
-    least = value(rest_rss[:, 0], path_log[:, 0], np.arange(m_max + 1))
-    upper = float(np.min(least[rest_rss[:, 0] > degenerate_tol])) + slack
-
-    def visit(a: int, rss: float, log_sum: float, times: tuple[int, ...]) -> None:
-        nonlocal best_times, best_key
-        m = len(times) + 1  # the count of every child
-        b = np.arange(a + 1, k + 1)
-        child_rss, child_log = rss + cost[a, b], log_sum + log_len[a, b]
-        bound = value(  # [r, child]: row 0 is the child's own value
-            child_rss + rest_rss[: m_max - m + 1, b],
-            child_log + rest_log[: m_max - m + 1, b],
-            np.arange(m, m_max + 1)[:, None],
-        )
-        reach = bound.min(axis=0)
-        for j in np.flatnonzero(reach <= min(upper, best_key[0]) + slack):
-            if best_key <= (-math.inf, m):
-                return  # only a smaller count beats a perfect fit
-            limit = min(upper, best_key[0]) + slack
-            if reach[j] <= limit:
-                child = (*times, int(pool[a + j]))
-                if bound[0, j] <= limit and (key := objective.key(child)) < best_key:
-                    best_times, best_key = child, key
-                if m < m_max:
-                    visit(a + 1 + j, child_rss[j], child_log[j], child)
-
-    visit(0, 0.0, 0.0, ())
-    return objective.fit(best_times)
+    return objective.fit(np.flatnonzero(population[best]) + 2)
 
 
 def hybrid_refine(
@@ -528,5 +434,70 @@ def hybrid_refine(
             f"candidates are for length {candidates.series_length}, series has {len(series)}"
         )
     objective = _Objective(series, penalty_name, min_seg)
+    n = objective.n
     pool = np.array(sorted({e.changepoint_time for e in candidates.entries}), dtype=np.int64)
-    return _subset_search(objective, pool)
+    pool = pool[(pool >= 2) & (pool <= n)]  # any other time makes a subset infeasible
+    k = pool.size
+    m_max = min(k, objective.m_max)  # no feasible subset has more changepoints
+    best_times, best_key = (), objective.key(())
+    if m_max < 1 or best_key[0] == -math.inf:
+        return objective.fit(best_times)
+    bounds = np.concatenate(([0], pool - 1, [n]))  # prefix index of each boundary
+    u, t = bounds[:, None], bounds[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = _segment_cost(objective.s, objective.ss, u, t)  # [a, b]: boundary a to b
+        log_len = np.log((t - u) / n)
+    cost[t - u < min_seg] = log_len[t - u < min_seg] = np.inf
+    # [r, a]: from boundary a to the end through r more changepoints, the least
+    # RSS, the least log-length sum and the log sum along a least-RSS path
+    rest_rss, rest_log, path_log = np.empty((3, m_max + 1, k + 2))
+    rest_rss[0], rest_log[0], path_log[0] = cost[:, -1], log_len[:, -1], log_len[:, -1]
+    rows = np.arange(k + 2)
+    for r in range(1, m_max + 1):
+        via = np.argmin(cost + rest_rss[r - 1], axis=1)
+        rest_rss[r] = cost[rows, via] + rest_rss[r - 1, via]
+        path_log[r] = log_len[rows, via] + path_log[r - 1, via]
+        rest_log[r] = np.min(log_len + rest_log[r - 1], axis=1)
+    degenerate_tol = objective.zero_tol * (1 + 1e-9)
+
+    def value(rss, log_sum, count):
+        """The objective from running sums; -inf where the RSS may be a perfect fit."""
+        with np.errstate(divide="ignore"):
+            return np.where(rss <= degenerate_tol, -np.inf,
+                            objective.value(rss, log_sum, count, log=np.log))
+
+    # A value from running sums goes through the key's formula in the key's
+    # order, so it differs from the key by rounding alone: sums of at most 26
+    # RSS or log terms in another order than the key's, and each np.log within
+    # 4 ulp of math.log. A non-perfect RSS lies between 1e-12 and 1 times the
+    # null RSS, so no term exceeds about 30 T + |null value|, and the error
+    # stays below 1e-12 (T + |null value|). The slack is far above twice that,
+    # the most a bound and a key can differ by rounding.
+    slack = 1e-9 * (n + abs(best_key[0]))
+    least = value(rest_rss[:, 0], path_log[:, 0], np.arange(m_max + 1))
+    upper = float(np.min(least[rest_rss[:, 0] > degenerate_tol])) + slack
+
+    def visit(a: int, rss: float, log_sum: float, times: tuple[int, ...]) -> None:
+        nonlocal best_times, best_key
+        m = len(times) + 1  # the count of every child
+        b = np.arange(a + 1, k + 1)
+        child_rss, child_log = rss + cost[a, b], log_sum + log_len[a, b]
+        bound = value(  # [r, child]: row 0 is the child's own value
+            child_rss + rest_rss[: m_max - m + 1, b],
+            child_log + rest_log[: m_max - m + 1, b],
+            np.arange(m, m_max + 1)[:, None],
+        )
+        reach = bound.min(axis=0)
+        for j in np.flatnonzero(reach <= min(upper, best_key[0]) + slack):
+            if best_key <= (-math.inf, m):
+                return  # only a smaller count beats a perfect fit
+            limit = min(upper, best_key[0]) + slack
+            if reach[j] <= limit:
+                child = (*times, int(pool[a + j]))
+                if bound[0, j] <= limit and (key := objective.key(child)) < best_key:
+                    best_times, best_key = child, key
+                if m < m_max:
+                    visit(a + 1 + j, child_rss[j], child_log[j], child)
+
+    visit(0, 0.0, 0.0, ())
+    return objective.fit(best_times)

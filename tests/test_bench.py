@@ -147,6 +147,34 @@ class TestRunNullStudy:
         parallel = run_null_study(["wbs"], [60], 16, 5, n_jobs=2)
         assert serial == parallel
 
+    def test_one_pool_with_no_more_workers_than_chunks(self, monkeypatch):
+        # a pool starts all its workers at once: a study opens one pool, with
+        # no more workers than one length's replications fill chunks, and
+        # runs serially when that is one. No real process starts here
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                assert chunksize == 8
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        for n_jobs, n_reps, want in ((32, 17, [3]), (2, 17, [2]), (32, 3, []), (4, 8, []),
+                                     (4, 9, [2])):
+            pools.clear()
+            report = run_null_study(["binseg"], [30, 40], n_reps, 5, n_jobs=n_jobs)
+            assert pools == want, (n_jobs, n_reps)
+            assert report == run_null_study(["binseg"], [30, 40], n_reps, 5)
+
     def test_rep_doubling_stability(self):
         # first half of a doubled run is the same seeds, so the rate moves by
         # at most binomial noise; checked across 20 master seeds

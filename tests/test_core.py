@@ -21,6 +21,23 @@ class TestTimeSeries:
     def test_length(self):
         assert len(TimeSeries([1.0, 2.0, 3.0])) == 3
 
+    def test_copies_its_input(self):
+        # the series owns its values: the caller's array stays writable, and
+        # neither it nor the base of a view can change the series or put a
+        # non-finite value past the check
+        x = np.zeros(10)
+        series = TimeSeries(x)
+        x[0] = np.nan
+        assert x.flags.writeable
+        base = np.arange(20.0)
+        view = TimeSeries(base[::2])
+        base[6] = np.nan
+        for s, want in ((series, np.zeros(10)), (view, np.arange(0.0, 20.0, 2.0))):
+            assert np.array_equal(s.values, want)
+            assert not s.values.flags.writeable
+            with pytest.raises(ValueError):
+                s.values[0] = 1.0
+
 
 class TestChangepointConfig:
     def test_count_matches_times(self):

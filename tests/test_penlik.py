@@ -23,10 +23,8 @@ from cpdkit import (
 from cpdkit import penlik
 from cpdkit.penlik import (
     RssTable,
-    bic_objective,
     default_m_max,
     evaluate_fit,
-    mbic_objective,
 )
 from cpdkit.wbs2 import CandidateEntry, SortedCandidateList
 
@@ -183,14 +181,14 @@ class TestSelectMbic:
     def test_mbic_segment_term(self):
         # hand evaluation of the objective pieces
         rss, n = 50.0, 100
-        obj = mbic_objective(rss, n, [40, 60])
+        obj = penlik._Objective(gen_null(n, 0), "mbic").score(rss, [40, 60])
         expected = (
             0.5 * n * math.log(rss / n)
             + 1.5 * math.log(n)
             + 0.5 * (math.log(0.4) + math.log(0.6))
         )
         assert obj == pytest.approx(expected, rel=1e-12)
-        assert bic_objective(rss, n, 1) == pytest.approx(
+        assert penlik._Objective(gen_null(n, 0), "bic").score(rss, [40, 60]) == pytest.approx(
             0.5 * n * math.log(rss / n) + 4 * math.log(n), rel=1e-12
         )
 
@@ -706,6 +704,34 @@ def test_penalized_paths_reject_min_seg_below_two(min_seg):
             call()
 
 
+@pytest.mark.parametrize("name", ("bic", "mbic"))
+def test_array_value_agrees_with_score(name):
+    # the branch and bound evaluates the key's formula with np.log on running
+    # sums; on feasible subsets the two differ by rounding alone, within the
+    # 1e-12 (T + |null objective|) that hybrid_refine's slack comment states
+    rng = np.random.default_rng(23)
+    for n in (40, 500):
+        teeth, _ = gen_teeth(n, 10, 1.0, 0.5, seed=n)
+        for s in (teeth, TimeSeries(1e8 + gen_null(n, n).values)):
+            objective = penlik._Objective(s, name)
+            tol = 1e-12 * (n + abs(objective.score(objective._rss(objective._bounds(())), [n])))
+            running, keys = [], []
+            for _ in range(300):
+                m = int(rng.integers(0, objective.m_max + 1))
+                lengths = 2 + rng.multinomial(n - 2 * (m + 1), np.full(m + 1, 1 / (m + 1)))
+                bounds = np.concatenate(([0], np.cumsum(lengths)))
+                rss = log_sum = 0.0
+                for u, t in zip(bounds[:-1], bounds[1:]):  # summed in another order
+                    rss += float(penlik._segment_cost(objective.s, objective.ss, u, t))
+                    log_sum += np.log((t - u) / n)
+                running.append((rss, log_sum, m))
+                keys.append(objective.score(objective._rss(bounds), lengths.tolist()))
+            rss, log_sum, count = map(np.array, zip(*running))
+            values = objective.value(rss, log_sum, count, log=np.log)
+            assert np.all(np.isfinite(keys))
+            np.testing.assert_allclose(values, keys, rtol=0, atol=tol)
+
+
 def test_ga_params_accept_numpy_integers():
     params = GaParams(population=np.int64(4), generations=np.int32(2))
     fit = ga_optimize(gen_null(30, 2), "bic", ga_params=params, seed=1)
@@ -719,7 +745,7 @@ def _one_subset_key(objective, times):
     lengths = np.diff(bounds)
     if m > objective.m_max or lengths.min() < objective.min_seg:
         return (math.inf, m)
-    return (objective.value(objective._rss(bounds), lengths.tolist()), m)
+    return (objective.score(objective._rss(bounds), lengths.tolist()), m)
 
 
 @pytest.mark.parametrize("name, min_seg", itertools.product(("bic", "mbic"), (2, 3)))
@@ -748,7 +774,7 @@ def test_batched_keys_equal_one_row_keys(name, min_seg):
             population, population[::7], perfect[None], perfect | extra, spaced,
             np.zeros((2, pool.size), np.int8),
         ])
-        batched = objective.keys(pool, population)
+        batched = objective.keys(population)
         assert len(batched) == len(population)
         for row, key in zip(population, batched):
             times = tuple(pool[row.astype(bool)].tolist())
@@ -816,12 +842,12 @@ def test_ga_breeds_as_one_child_at_a_time(size, seed):
     batches = []
     keys = penlik._Objective.keys
 
-    def recording(self, pool, population):
+    def recording(self, population):
         batches.append([row.tobytes() for row in population])
-        return keys(self, pool, population)
+        return keys(self, population)
 
     with mock.patch.object(penlik._Objective, "keys", recording):
-        fit = penlik._ga_search(objective, pool, params, seed)
+        fit = ga_optimize(series, "mbic", params, seed)
     generations, expected_fit = _one_child_at_a_time_ga(objective, pool, params, seed)
     expected, previous = [], set()
     for population in generations:
