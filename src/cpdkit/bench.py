@@ -149,11 +149,11 @@ def _replicate(args) -> dict[str, tuple[int, float]]:
 
 def _check_constants(method: str, params: dict) -> None:
     """The detector's own checks of its threshold constants, run on ``params``
-    over the defaults in its signature."""
-    signature = inspect.signature(METHODS[method].detector)
-    kwargs = {name: p.default for name, p in signature.parameters.items()
-              if p.default is not p.empty}
-    kwargs.update(params)
+    over the defaults in its signature; a parameter the detector does not
+    take raises TypeError."""
+    bound = inspect.signature(METHODS[method].detector).bind_partial(**params)
+    bound.apply_defaults()
+    kwargs = bound.arguments
     if method == "wbs2-sdll":
         check_sdll(kwargs["lam"], kwargs["floor_mult"])
     elif "c" in kwargs and kwargs.get("threshold") is None:

@@ -2,7 +2,8 @@
 configurations against each other, and run the Monte-Carlo benchmark.
 
 Exit codes: 0 success, 2 unreadable file, 3 bad file content (named line),
-4 invalid method or benchmark configuration.
+4 invalid method or benchmark configuration, or an output path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .bench import (
     METHODS,
     TeethSpec,
     VALID_METHODS,
+    _unknown_method,
     check_study,
     format_table,
     run_method,
@@ -48,32 +50,28 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _parse_float(cell: str) -> float | None:
+def _read_lines(path: str) -> list[str]:
     try:
-        return float(cell)
-    except ValueError:
-        return None
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_UNREADABLE)
 
 
 def read_series_file(path: str) -> TimeSeries:
     """One numeric value per line, or comma-separated time,value rows (second
     column used); an optional non-numeric first line is treated as a header."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_UNREADABLE)
-
     values: list[float] = []
     first_data_line = True
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
         cells = [c.strip() for c in line.split(",")]
         cell = cells[1] if len(cells) >= 2 else cells[0]
-        value = _parse_float(cell)
-        if value is None:
+        try:
+            value = float(cell)
+        except ValueError:
             if first_data_line:
                 first_data_line = False  # header row
                 continue
@@ -93,14 +91,8 @@ def read_series_file(path: str) -> TimeSeries:
 
 def read_changepoint_file(path: str, series_length: int) -> ChangepointConfig:
     """Strictly increasing integer changepoint times in (1, series_length]."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_UNREADABLE)
-
     times: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -134,11 +126,7 @@ def _method_params(args) -> dict:
 
 def cmd_detect(args) -> int:
     if args.method not in VALID_METHODS:
-        print(
-            f"unknown method {args.method!r}; valid methods: {', '.join(VALID_METHODS)}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_CONFIG
+        raise _unknown_method(args.method)
     series = read_series_file(args.input)
     params = _method_params(args)[args.method]
 
@@ -215,13 +203,7 @@ def cmd_bench(args) -> int:
         ))
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(
-            f"invalid benchmark configuration (out): cannot create {out_dir}: {exc}",
-            EXIT_BAD_CONFIG,
-        )
+    out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
         table = format_table(report)
         sys.stdout.write(f"{_STUDY_TITLES[report.study]}\n{table}")
@@ -305,7 +287,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    # the readers turn an unreadable input into CliError, so an OSError here
+    # comes from an output path or from the OS
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -45,10 +45,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
 
 @dataclass(frozen=True)
 class ChangepointConfig:

@@ -50,6 +50,8 @@ def wbs_detect(
     """
     if m_intervals < 0:
         raise ValueError(f"m_intervals must be non-negative, got {m_intervals}")
+    if min_span < 1:
+        raise ValueError(f"min_span must be at least 1, got {min_span}")
     threshold = universal_threshold(series, c)
     p = prefix_sums(series.values)
     intervals = None

@@ -113,6 +113,11 @@ class TestRunNullStudy:
             for method, params in bad:
                 with pytest.raises(ValueError, match="non-negative|floor_mult"):
                     run_null_study([method], [50], 2, 1, method_params={method: params})
+            # a parameter the detector does not take once raised only at the
+            # first replication
+            for method, params in (("wbs", {"lam": 1.3}), ("bic", {"seed": 3})):
+                with pytest.raises(TypeError):
+                    run_null_study([method], [50], 2, 1, method_params={method: params})
         good = [
             ("binseg", {}), ("binseg", {"c": math.nan, "threshold": 1.0}),  # c unused
             ("wbs2-sdll", {"lam": 0.0}), ("wbs2-sdll", {"floor_mult": 1.0}),

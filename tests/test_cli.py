@@ -78,6 +78,17 @@ class TestDetect:
                 assert main(["detect", str(src), "--method", method, "--min-seg", value]) == 4
                 assert "min_seg must be at least 2" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_4(self, tmp_path, capsys):
+        # a missing directory or a directory as --out once ended in a
+        # traceback (exit 1)
+        src = tmp_path / "s.csv"
+        write_step_csv(src)
+        for out in (tmp_path / "missing" / "dir" / "x.json", tmp_path):
+            assert main(["detect", str(src), "--method", "binseg", "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert str(out) in err
+            assert "Traceback" not in err
+
     def test_out_file_and_determinism(self, tmp_path):
         src = tmp_path / "n.csv"
         rng = np.random.default_rng(0)
@@ -234,6 +245,7 @@ class TestBench:
          "--teeth-length", "60", "--min-span", "100"],
         ["--methods", "wbs2-sdll", "--m-stage", "0"],
         ["--methods", "wbs", "--intervals", "-1"],
+        ["--methods", "wbs", "--intervals", "0", "--min-span", "0"],
         ["--methods", "binseg", "--min-len", "1"],
         ["--methods", "bic", "--min-seg", "1"],
         ["--methods", "mbic", "--min-seg", "0"],
@@ -281,6 +293,17 @@ class TestBench:
             assert code == 4
             assert "non-negative" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_unwritable_csv_exit_4(self, tmp_path, capsys):
+        # a directory in the CSV's place once ended in a traceback (exit 1)
+        blocked = tmp_path / "null_results.csv"
+        blocked.mkdir()
+        code = main(["bench", "--methods", "binseg", "--lengths", "50", "--reps", "2",
+                     "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert str(blocked) in err
+        assert "Traceback" not in err
 
     def test_smoke_run_under_ten_seconds(self, tmp_path, capsys):
         start = time.time()

@@ -5,9 +5,11 @@ its median absolute deviations and every |CUSUM contrast| unchanged, all
 without rounding, so every detector and both penalized searches return the
 same changepoints. Scaling by a power of two is exact too, so the CUSUM
 detectors, whose statistics and thresholds both scale with the noise scale,
-return the same changepoints. BIC and mBIC held under scaling and under a
-shift by 1000 in a probe of 60 series, but are not pinned: their log terms
-may round differently.
+return the same changepoints. Shifts and other scales round, so for them
+the CUSUM detectors are pinned within the documented limits: shifts up to
+1e8 and scales from 1e-6 to 1e6. BIC and mBIC held under scaling and under
+a shift by 1000 in a probe of 60 series, but are not pinned: their log
+terms may round differently.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from cpdkit.bench import VALID_METHODS, run_method
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+CUSUM_METHODS = ("binseg", "wbs", "wbs2-sdll")
 
 
 @st.composite
@@ -54,3 +58,25 @@ def test_power_of_two_scaling_leaves_cusum_changepoints_unchanged(case, k):
     scaled = TimeSeries(series.values * 2.0**k)
     for method in ("binseg", "wbs", "wbs2-sdll"):
         assert run_method(method, scaled, seed) == run_method(method, series, seed), method
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(teeth_series())
+def test_translation_leaves_cusum_changepoints_unchanged(case):
+    series, seed = case
+    expected = {method: run_method(method, series, seed) for method in CUSUM_METHODS}
+    for shift in (1.0, 1e3, 1e6, 1e8):
+        shifted = TimeSeries(series.values + shift)
+        for method in CUSUM_METHODS:
+            assert run_method(method, shifted, seed) == expected[method], (method, shift)
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(teeth_series())
+def test_scaling_leaves_cusum_changepoints_unchanged(case):
+    series, seed = case
+    expected = {method: run_method(method, series, seed) for method in CUSUM_METHODS}
+    for scale in (3.0, 0.1, 10.0, 1e-6, 1e6):
+        scaled = TimeSeries(series.values * scale)
+        for method in CUSUM_METHODS:
+            assert run_method(method, scaled, seed) == expected[method], (method, scale)

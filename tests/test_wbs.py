@@ -76,6 +76,10 @@ class TestWbsDetect:
                 binary_segmentation(s, threshold=threshold)
         with pytest.raises(ValueError, match="m_intervals"):
             wbs_detect(s, m_intervals=-5)
+        # with no intervals drawn, min_span = -5 was once never checked
+        for m_intervals, min_span in ((0, -5), (0, 0), (10, 0)):
+            with pytest.raises(ValueError, match="min_span"):
+                wbs_detect(s, m_intervals=m_intervals, min_span=min_span)
         assert universal_threshold(s, 0.0) == 0.0
 
     def test_determinism(self):
