@@ -9,7 +9,7 @@ import inspect
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from pathlib import Path
 
 import numpy as np
 
@@ -29,21 +29,20 @@ from .wbs import wbs_detect
 from .wbs2 import check_sdll, wbs2_sdll_detect
 
 
-class Method(NamedTuple):
-    detector: Callable  # returns a ChangepointConfig, or a PenalizedFit for bic/mbic
-    seeded: bool  # takes a ``seed`` keyword
-
-
-# The one place a method name meets its detector; the detector's signature
-# holds every default. The order fixes _METHOD_TAGS, and so every study seed.
+# The one place a method name meets its detector, which returns a
+# ChangepointConfig, or a PenalizedFit for bic/mbic. The detector's signature
+# states every setting and its default. The order fixes _METHOD_TAGS, and so
+# every study seed.
 METHODS = {
-    "bic": Method(select_bic, seeded=False),
-    "mbic": Method(select_mbic, seeded=False),
-    "wbs": Method(wbs_detect, seeded=True),
-    "wbs2-sdll": Method(wbs2_sdll_detect, seeded=True),
-    "binseg": Method(binary_segmentation, seeded=False),
+    "bic": select_bic,
+    "mbic": select_mbic,
+    "wbs": wbs_detect,
+    "wbs2-sdll": wbs2_sdll_detect,
+    "binseg": binary_segmentation,
 }
 VALID_METHODS = tuple(METHODS)
+# read once: the per-call paths only look them up
+_SIGNATURES = {name: inspect.signature(detector) for name, detector in METHODS.items()}
 
 # Stable tags feeding the per-replication seed derivation; the data stream is
 # shared by every method within a replication (paired comparison), detector
@@ -82,9 +81,12 @@ def run_method(
     """
     if method not in METHODS:
         raise _unknown_method(method)
-    detector, seeded = METHODS[method]
-    result = detector(series, **({"seed": seed} if seeded else {}), **(params or {}))
+    result = METHODS[method](series, **_seed_kwarg(method, seed), **(params or {}))
     return result.config if isinstance(result, PenalizedFit) else result
+
+
+def _seed_kwarg(method: str, seed: Seed) -> dict:
+    return {"seed": seed} if "seed" in _SIGNATURES[method].parameters else {}
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,11 @@ def _replicate(args) -> dict[str, tuple[int, float]]:
 
 
 def _check_constants(method: str, params: dict) -> None:
-    """The detector's own checks of its threshold constants, run on ``params``
-    over the defaults in its signature; a parameter the detector does not
-    take raises TypeError."""
-    bound = inspect.signature(METHODS[method].detector).bind_partial(**params)
+    """The detector's own checks of its threshold constants, run on the call
+    :func:`run_method` makes with ``params``, over the defaults in its
+    signature; a parameter the detector does not take, or a ``seed`` besides
+    the study's, raises TypeError."""
+    bound = _SIGNATURES[method].bind(None, **_seed_kwarg(method, 0), **params)
     bound.apply_defaults()
     kwargs = bound.arguments
     if method == "wbs2-sdll":
@@ -271,12 +274,14 @@ def format_table(report: BenchmarkReport) -> str:
     return out.getvalue()
 
 
+def _csv_text(report: BenchmarkReport) -> str:
+    return "method,series_length,n_reps,false_positive_rate,avg_distance\n" + "".join(
+        f"{r.method},{r.series_length},{r.n_reps},"
+        f"{r.false_positive_rate:.6f},{r.avg_distance:.6f}\n"
+        for r in report.rows
+    )
+
+
 def write_csv(report: BenchmarkReport, path) -> None:
     """Machine-readable output, one (method, length) cell per line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,series_length,n_reps,false_positive_rate,avg_distance\n")
-        for r in report.rows:
-            fh.write(
-                f"{r.method},{r.series_length},{r.n_reps},"
-                f"{r.false_positive_rate:.6f},{r.avg_distance:.6f}\n"
-            )
+    Path(path).write_text(_csv_text(report), encoding="utf-8", newline="")

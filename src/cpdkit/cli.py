@@ -12,19 +12,21 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
     METHODS,
     TeethSpec,
     VALID_METHODS,
+    _SIGNATURES,
+    _csv_text,
     _unknown_method,
     check_study,
     format_table,
     run_method,
     run_null_study,
     run_signal_study,
-    write_csv,
 )
 from .core import ChangepointConfig, TimeSeries, mad_sigma, segment_means, threshold_level
 from .distance import config_distance
@@ -42,6 +44,22 @@ _STUDY_TITLES = {
     "null": "Null study (no true changepoints)",
     "signal": "\nSignal study (teeth truth)",
 }
+
+# (flag, detector parameter, help); a flag's default and type are those of
+# its parameter in the detectors' signatures
+_DETECTOR_FLAGS = (
+    ("--threshold-c", "c", "threshold constant for binseg/wbs"),
+    ("--intervals", "m_intervals", "random interval count for wbs"),
+    ("--min-span", "min_span", "minimum interval span for wbs"),
+    ("--min-len", "min_len", "minimum segment length for binseg recursion"),
+    ("--m-stage", "m_stage", "per-stage interval draws for wbs2-sdll"),
+    ("--lambda", "lam", "steepest-drop gate constant for wbs2-sdll"),
+    ("--floor-mult", "floor_mult", "drop-scan floor as a fraction of the gate"),
+    ("--min-seg", "min_seg", "minimum segment length for bic/mbic"),
+)
+# read from the signatures once, at import
+_FLAG_DEFAULTS = {name: sig.parameters[name].default for sig in _SIGNATURES.values()
+                  for _, name, _ in _DETECTOR_FLAGS if name in sig.parameters}
 
 
 class CliError(Exception):
@@ -113,15 +131,10 @@ def read_changepoint_file(path: str, series_length: int) -> ChangepointConfig:
 
 
 def _method_params(args) -> dict:
-    return {
-        "binseg": {"c": args.threshold_c, "min_len": args.min_len},
-        "wbs": {"c": args.threshold_c, "m_intervals": args.intervals,
-                "min_span": args.min_span},
-        "wbs2-sdll": {"m_stage": args.m_stage, "lam": args.sdll_lambda,
-                      "floor_mult": args.floor_mult},
-        "bic": {"min_seg": args.min_seg},
-        "mbic": {"min_seg": args.min_seg},
-    }
+    """Per method, the detector flags' values for the parameters it takes."""
+    return {method: {name: getattr(args, name) for name in sig.parameters
+                     if name in _FLAG_DEFAULTS}
+            for method, sig in _SIGNATURES.items()}
 
 
 def cmd_detect(args) -> int:
@@ -137,7 +150,7 @@ def cmd_detect(args) -> int:
         "sigma_hat": mad_sigma(series),
     }
     if args.method in ("bic", "mbic"):
-        fit = METHODS[args.method].detector(series, **params)
+        fit = METHODS[args.method](series, **params)
         config = fit.config
         # a perfect fit has objective -inf, which JSON cannot carry
         result["objective"] = fit.objective if not fit.degenerate else None
@@ -145,7 +158,7 @@ def cmd_detect(args) -> int:
         result["degenerate"] = fit.degenerate
     else:
         config = run_method(args.method, series, args.seed, params)
-        c = args.sdll_lambda if args.method == "wbs2-sdll" else args.threshold_c
+        c = params["lam"] if "lam" in params else params["c"]
         result["threshold"] = threshold_level(c, len(series), result["sigma_hat"])
     result["n_changepoints"] = config.count
     result["changepoints"] = list(config.times)
@@ -177,14 +190,8 @@ def cmd_bench(args) -> int:
     methods = list(args.methods) if args.methods else list(TABLE1_METHODS)
     lengths = list(args.lengths) if args.lengths else list(TABLE1_LENGTHS)
     reps = args.reps if args.reps is not None else (TABLE1_REPS if args.table1 else 100)
-    spec = None
-    if args.signal:
-        spec = TeethSpec(
-            length=args.teeth_length,
-            period=args.teeth_period,
-            amplitude=args.teeth_amplitude,
-            sigma=args.teeth_sigma,
-        )
+    teeth = {f.name: getattr(args, f"teeth_{f.name}") for f in fields(TeethSpec)}
+    spec = TeethSpec(**teeth) if args.signal else None
     # every study setting is checked before any study runs; settings that
     # only a detector checks fail during the studies, so both run before
     # --out is created. Each study's lengths are checked on their own: the
@@ -204,11 +211,20 @@ def cmd_bench(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for report in reports:
-        table = format_table(report)
-        sys.stdout.write(f"{_STUDY_TITLES[report.study]}\n{table}")
-        (out_dir / f"{report.study}_table.txt").write_text(table, encoding="utf-8")
-        write_csv(report, out_dir / f"{report.study}_results.csv")
+    opened = []
+    try:
+        for report in reports:
+            table = format_table(report)
+            sys.stdout.write(f"{_STUDY_TITLES[report.study]}\n{table}")
+            for name, text in (("table.txt", table), ("results.csv", _csv_text(report))):
+                path = out_dir / f"{report.study}_{name}"
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    opened.append(path)
+                    fh.write(text)
+    except OSError:  # a failed write leaves no partial report
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 
@@ -249,11 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parallel worker processes for replications")
     p_bench.add_argument("--signal", action="store_true",
                          help="also run the teeth-signal study")
-    p_bench.add_argument("--teeth-length", type=int, default=200, dest="teeth_length")
-    p_bench.add_argument("--teeth-period", type=int, default=20, dest="teeth_period")
-    p_bench.add_argument("--teeth-amplitude", type=float, default=1.0,
-                         dest="teeth_amplitude")
-    p_bench.add_argument("--teeth-sigma", type=float, default=0.3, dest="teeth_sigma")
+    for f in fields(TeethSpec):  # TeethSpec.length has no default
+        default = 200 if f.name == "length" else f.default
+        p_bench.add_argument(f"--teeth-{f.name}", type=type(default), default=default,
+                             dest=f"teeth_{f.name}")
     _add_detector_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -261,22 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_detector_flags(p) -> None:
-    p.add_argument("--threshold-c", type=float, default=1.3, dest="threshold_c",
-                   help="threshold constant for binseg/wbs")
-    p.add_argument("--intervals", type=int, default=5000,
-                   help="random interval count for wbs")
-    p.add_argument("--min-span", type=int, default=1, dest="min_span",
-                   help="minimum interval span for wbs")
-    p.add_argument("--min-len", type=int, default=2, dest="min_len",
-                   help="minimum segment length for binseg recursion")
-    p.add_argument("--m-stage", type=int, default=100, dest="m_stage",
-                   help="per-stage interval draws for wbs2-sdll")
-    p.add_argument("--lambda", type=float, default=1.3, dest="sdll_lambda",
-                   help="steepest-drop gate constant for wbs2-sdll")
-    p.add_argument("--floor-mult", type=float, default=0.3, dest="floor_mult",
-                   help="drop-scan floor as a fraction of the gate")
-    p.add_argument("--min-seg", type=int, default=2, dest="min_seg",
-                   help="minimum segment length for bic/mbic")
+    for flag, name, help_text in _DETECTOR_FLAGS:
+        default = _FLAG_DEFAULTS[name]
+        p.add_argument(flag, type=type(default), default=default, dest=name,
+                       metavar=flag[2:].upper().replace("-", "_"), help=help_text)
 
 
 def main(argv=None) -> int:

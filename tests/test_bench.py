@@ -113,9 +113,10 @@ class TestRunNullStudy:
             for method, params in bad:
                 with pytest.raises(ValueError, match="non-negative|floor_mult"):
                     run_null_study([method], [50], 2, 1, method_params={method: params})
-            # a parameter the detector does not take once raised only at the
-            # first replication
-            for method, params in (("wbs", {"lam": 1.3}), ("bic", {"seed": 3})):
+            # a parameter the detector does not take, or a seed besides the one
+            # the study passes, once raised only at the first replication
+            for method, params in (("wbs", {"lam": 1.3}), ("bic", {"seed": 3}),
+                                   ("wbs", {"seed": 3}), ("wbs2-sdll", {"seed": 3})):
                 with pytest.raises(TypeError):
                     run_null_study([method], [50], 2, 1, method_params={method: params})
         good = [

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import time
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import cpdkit.penlik
-from cpdkit import TimeSeries, binary_segmentation, gen_teeth
+from cpdkit import TimeSeries, bench, binary_segmentation, gen_teeth
 from cpdkit.cli import _method_params, build_parser, main
 
 
@@ -140,16 +141,57 @@ class TestDetect:
             assert len(calls) == 1, method
 
     def test_detector_flag_defaults_match_detectors(self):
-        from cpdkit.bench import METHODS
-
-        # the flags are the one place besides the detectors that states a
-        # default; every flag default must equal the parameter it feeds
+        # every flag default must equal, in value and type, the parameter it
+        # feeds; the teeth flags feed TeethSpec, whose defaults are gen_teeth's
         parser = build_parser()
         for argv in (["detect", "x.csv", "--method", "bic"], ["bench"]):
             for method, params in _method_params(parser.parse_args(argv)).items():
-                signature = inspect.signature(METHODS[method].detector)
+                signature = inspect.signature(bench.METHODS[method])
                 for name, value in params.items():
-                    assert value == signature.parameters[name].default, (method, name)
+                    default = signature.parameters[name].default
+                    assert (type(value), value) == (type(default), default), (method, name)
+        args = parser.parse_args(["bench"])
+        spec = bench.TeethSpec(length=args.teeth_length)
+        generator = inspect.signature(gen_teeth).parameters
+        for name in ("period", "amplitude", "sigma"):
+            value = getattr(args, f"teeth_{name}")
+            default = getattr(spec, name)
+            assert (type(value), value) == (type(default), default), name
+            assert default == generator[name].default, name
+
+
+DETECTOR_FLAGS = [  # flag, a non-default value, the parameter it sets, its methods
+    ("--threshold-c", 2.5, "c", ("binseg", "wbs")),
+    ("--intervals", 300, "m_intervals", ("wbs",)),
+    ("--min-span", 3, "min_span", ("wbs",)),
+    ("--min-len", 4, "min_len", ("binseg",)),
+    ("--m-stage", 50, "m_stage", ("wbs2-sdll",)),
+    ("--lambda", 1.1, "lam", ("wbs2-sdll",)),
+    ("--floor-mult", 0.5, "floor_mult", ("wbs2-sdll",)),
+    ("--min-seg", 3, "min_seg", ("bic", "mbic")),
+]
+
+
+@pytest.mark.parametrize("flag, value, name, methods", DETECTOR_FLAGS,
+                         ids=[flag for flag, *_ in DETECTOR_FLAGS])
+def test_detector_flag_reaches_detector(tmp_path, capsys, monkeypatch, flag, value, name,
+                                        methods):
+    src = tmp_path / "s.csv"
+    write_step_csv(src)
+    for method in methods:
+        detector = bench.METHODS[method]
+        seen = []
+
+        @functools.wraps(detector)
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get(name))
+            return detector(*args, **kwargs)
+
+        monkeypatch.setitem(bench.METHODS, method, spy)
+        assert main(["detect", str(src), "--method", method, flag, str(value)]) == 0
+        assert main(["bench", "--methods", method, "--lengths", "30", "--reps", "1",
+                     "--out", str(tmp_path / method), flag, str(value)]) == 0
+        assert [(type(v), v) for v in seen] == [(type(value), value)] * 2, method
 
 
 class TestDistance:
@@ -304,6 +346,8 @@ class TestBench:
         err = capsys.readouterr().err
         assert str(blocked) in err
         assert "Traceback" not in err
+        # the table was once written before the CSV failed
+        assert not (tmp_path / "null_table.txt").exists()
 
     def test_smoke_run_under_ten_seconds(self, tmp_path, capsys):
         start = time.time()

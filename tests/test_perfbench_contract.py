@@ -55,7 +55,7 @@ def test_workload_params_are_detector_parameters():
     params = workload_constant("PARAMS")
     assert set(params) == set(METHODS)
     for method, kwargs in params.items():
-        assert set(kwargs) <= set(inspect.signature(METHODS[method].detector).parameters)
+        assert set(kwargs) <= set(inspect.signature(METHODS[method]).parameters)
 
 
 def test_workload_cli_flags_parse_to_the_workload_params():

@@ -7,9 +7,10 @@ same changepoints. Scaling by a power of two is exact too, so the CUSUM
 detectors, whose statistics and thresholds both scale with the noise scale,
 return the same changepoints. Shifts and other scales round, so for them
 the CUSUM detectors are pinned within the documented limits: shifts up to
-1e8 and scales from 1e-6 to 1e6. BIC and mBIC held under scaling and under
-a shift by 1000 in a probe of 60 series, but are not pinned: their log
-terms may round differently.
+1e8 and scales from 1e-6 to 1e6. BIC and mBIC are pinned under scaling by
+2**k, |k| <= 8: the segment RSS scale by exactly 4**k, and only their log
+terms may round differently. Under a shift by 1000 they held in a probe of
+60 series, but are not pinned.
 """
 
 import numpy as np
@@ -80,3 +81,12 @@ def test_scaling_leaves_cusum_changepoints_unchanged(case):
         scaled = TimeSeries(series.values * scale)
         for method in CUSUM_METHODS:
             assert run_method(method, scaled, seed) == expected[method], (method, scale)
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(teeth_series(), st.integers(-8, 8))
+def test_power_of_two_scaling_leaves_penalized_changepoints_unchanged(case, k):
+    series, _ = case
+    scaled = TimeSeries(series.values * 2.0**k)
+    for method in ("bic", "mbic"):
+        assert run_method(method, scaled, 0) == run_method(method, series, 0), method
