@@ -7,25 +7,25 @@ from collections import deque
 import numpy as np
 
 from .core import ChangepointConfig, TimeSeries, universal_threshold
-from .cusum import magnitude_floor, max_cusum_from_sums, prefix_sums
+from .cusum import max_cusum_from_sums
 
 
 def split_recursively(
-    series: TimeSeries, p: np.ndarray, threshold: float, min_len: int = 2, intervals=None
+    series: TimeSeries, threshold: float, min_len: int = 2, intervals=None
 ) -> ChangepointConfig:
-    """The recursion of binary segmentation and WBS, on prefix sums ``p``, at
-    cutoff max(threshold, magnitude floor) and ``min_len`` >= 2. ``intervals``
-    is an optional table (starts, ends, splits, magnitudes) of maximal CUSUMs;
-    a segment's strongest fully contained interval, the first in table order
-    among equals, replaces the segment's own contrast if strictly larger."""
-    cutoff = max(threshold, magnitude_floor(series.values))
+    """The recursion of binary segmentation and WBS, at cutoff max(threshold,
+    magnitude floor) and ``min_len`` >= 2. ``intervals`` is an optional table
+    (starts, ends, splits, magnitudes) of maximal CUSUMs; a segment's strongest
+    fully contained interval, the first in table order among equals, replaces
+    the segment's own contrast if strictly larger."""
+    cutoff = max(threshold, series.magnitude_floor)
     found: list[int] = []
     segments = deque([(1, len(series))])
     while segments:
         s, e = segments.popleft()
         if e - s + 1 < min_len:
             continue
-        b, magnitude = max_cusum_from_sums(p, s, e)
+        b, magnitude = max_cusum_from_sums(series.prefix_sums, s, e)
         if intervals is not None:
             starts, ends, splits, mags = intervals
             inside = np.nonzero((starts >= s) & (ends <= e))[0]
@@ -59,4 +59,4 @@ def binary_segmentation(
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     if min_len < 2:
         raise ValueError(f"min_len must be at least 2, got {min_len}")
-    return split_recursively(series, prefix_sums(series.values), threshold, min_len)
+    return split_recursively(series, threshold, min_len)

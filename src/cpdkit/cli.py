@@ -28,7 +28,7 @@ from .bench import (
     run_null_study,
     run_signal_study,
 )
-from .core import ChangepointConfig, TimeSeries, mad_sigma, segment_means, threshold_level
+from .core import ChangepointConfig, TimeSeries, segment_means, threshold_level
 from .distance import config_distance
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def cmd_detect(args) -> int:
         "method": args.method,
         "n_obs": len(series),
         "seed": args.seed,
-        "sigma_hat": mad_sigma(series),
+        "sigma_hat": series.sigma_hat,
     }
     if args.method in ("bic", "mbic"):
         fit = METHODS[args.method](series, **params)

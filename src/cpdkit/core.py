@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class TimeSeries:
 
     ``values`` is stored as a read-only float64 copy of the input, so the
     caller's array stays writable and later writes to it do not reach the
-    series.
+    series. The statistics detectors read are computed on first use and kept.
     """
 
     values: np.ndarray
@@ -44,6 +45,44 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    @cached_property
+    def prefix_sums(self) -> np.ndarray:
+        """P[i] = sum of the first i values, so times s..e sum to P[e] - P[s-1]."""
+        return _prefix_sums(self.values)
+
+    @cached_property
+    def centered_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix sums and sums of squares of the centered series (centering keeps ss - s^2/n
+        from cancelling at large offsets); ValueError where an RSS could overflow or vanish."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = self.values - self.values.mean()
+            s, ss = _prefix_sums(centered), _prefix_sums(centered * centered)
+            # T * ss bounds every squared segment sum (s[t] - s[u])^2 an RSS forms
+            if not np.isfinite(ss[-1] * len(self)) or (ss[-1] == 0 and centered.any()):
+                raise ValueError(
+                    "a segment RSS needs deviations from the series mean between about "
+                    f"1e-150 and {1e154 / len(self):.0e} in magnitude at T={len(self)}")
+        return s, ss
+
+    @cached_property
+    def sigma_hat(self) -> float:
+        """The robust noise scale :func:`mad_sigma`."""
+        return mad_sigma(self)
+
+    @cached_property
+    def magnitude_floor(self) -> float:
+        """Contrast below which a magnitude is rounding residue: an exact fit gives about
+        max|x| * sqrt(T) * eps, not 0, and noiseless data must not trigger on that."""
+        scale = float(np.max(np.abs(self.values)))
+        return 64.0 * np.finfo(np.float64).eps * math.sqrt(self.values.size) * scale
+
+    # the tables penlik.segment_rss_table built for this series, by (m_max, min_seg)
+    _rss_tables = cached_property(lambda self: {})
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +210,7 @@ def check_threshold_c(c: float) -> None:
 def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
     """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
     check_threshold_c(c)
-    return threshold_level(c, len(series), mad_sigma(series))
+    return threshold_level(c, len(series), series.sigma_hat)
 
 
 def segment_means(series: TimeSeries, config: ChangepointConfig) -> list[float]:

@@ -20,28 +20,9 @@ segment's exhaustive descendants.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import TimeSeries
-
-
-def prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Prefix sums P with P[i] = sum of the first i values, so the segment sum
-    over times s..e is P[e] - P[s-1]."""
-    return np.concatenate(([0.0], np.cumsum(values, dtype=np.float64)))
-
-
-def magnitude_floor(values: np.ndarray) -> float:
-    """Contrast level below which a magnitude is rounding residue, not signal.
-
-    An exactly fitted segment evaluates to ~ scale * sqrt(len) * eps instead
-    of zero; detectors compare magnitudes against this floor so noiseless data
-    (threshold 0) does not trigger on dust.
-    """
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return 64.0 * np.finfo(np.float64).eps * math.sqrt(values.size) * scale
 
 
 def _check_interval(n_obs: int, s: int, e: int) -> None:
@@ -54,8 +35,7 @@ def cusum_stat(series: TimeSeries, s: int, e: int, b: int) -> float:
     _check_interval(len(series), s, e)
     if not s <= b < e:
         raise ValueError(f"split must satisfy s <= b < e, got s={s}, b={b}, e={e}")
-    p = prefix_sums(series.values)
-    return float(_contrast(p, s, e - s + 1, np.array([b - s + 1]))[0])
+    return float(_contrast(series.prefix_sums, s, e - s + 1, np.array([b - s + 1]))[0])
 
 
 def _contrast(p: np.ndarray, s, n, j) -> np.ndarray:
@@ -76,12 +56,11 @@ def max_cusum(series: TimeSeries, s: int, e: int) -> tuple[int, float]:
     Ties are broken toward the smallest b.
     """
     _check_interval(len(series), s, e)
-    p = prefix_sums(series.values)
-    return max_cusum_from_sums(p, s, e)
+    return max_cusum_from_sums(series.prefix_sums, s, e)
 
 
 def max_cusum_from_sums(p: np.ndarray, s: int, e: int) -> tuple[int, float]:
-    """As :func:`max_cusum`, reusing precomputed prefix sums."""
+    """As :func:`max_cusum`, on prefix sums ``p`` (:attr:`TimeSeries.prefix_sums`)."""
     if e - s < 1:
         raise ValueError(f"interval must contain at least one split, got s={s}, e={e}")
     mags = np.abs(_contrast(p, s, e - s + 1, np.arange(1, e - s + 1)))

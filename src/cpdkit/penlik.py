@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChangepointConfig, Seed, TimeSeries
-from .cusum import prefix_sums
 from .wbs2 import SortedCandidateList
 
 M_MAX_CAP = 25
@@ -69,13 +68,6 @@ class RssTable:
         return ChangepointConfig(times=self.configs[m], series_length=self.series_length)
 
 
-def _prefix_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums and sums of squares of the centered series; centering
-    keeps ss - s^2/n from cancelling catastrophically at large offsets."""
-    centered = values - values.mean()
-    return prefix_sums(centered), prefix_sums(centered * centered)
-
-
 def _segment_cost(s: np.ndarray, ss: np.ndarray, u, t) -> np.ndarray:
     """RSS of one mean over observations u+1..t (prefix indices), for index
     arrays u and t broadcast against each other; clipped at 0 against
@@ -113,7 +105,8 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     is built once and every level advances across it before the next block,
     which is valid because f_k[t] reads f_{k-1}[u] only for u < t. A level
     is one in-place add and one argmin along each contiguous row; argmin
-    keeps the first minimum, so ties go to the smallest u.
+    keeps the first minimum, so ties go to the smallest u. The series keeps
+    the table by (m_max, min_seg): select_bic and select_mbic on it share one DP.
     """
     n = len(series)
     if m_max < 0:
@@ -124,8 +117,10 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
             f"infeasible: {m_max + 1} segments of length >= {min_seg} need "
             f"{(m_max + 1) * min_seg} observations, series has {n}"
         )
+    if (m_max, min_seg) in series._rss_tables:
+        return series._rss_tables[m_max, min_seg]
 
-    s, ss = _prefix_moments(series.values)
+    s, ss = series.centered_moments
     f = np.empty((m_max + 1, n + 1))  # f[k, t]: best RSS of t obs with k changepoints
     backs = np.empty((m_max, n + 1), dtype=np.int64)
     for lo in range(0, n + 1, _COST_BLOCK):
@@ -142,17 +137,17 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
 
     configs: list[tuple[int, ...]] = [()]
     for m in range(1, m_max + 1):
-        times = []
-        t = n
+        times, t = [], n
         for k in range(m, 0, -1):
-            u = int(backs[k - 1, t])
-            times.append(u + 1)
-            t = u
+            t = int(backs[k - 1, t])  # the last observation before the k-th changepoint
+            times.append(t + 1)
         configs.append(tuple(sorted(times)))
 
-    return RssTable(
+    table = RssTable(
         rss=tuple(f[:, n].tolist()), configs=tuple(configs), series_length=n, min_seg=min_seg
     )
+    series._rss_tables[m_max, min_seg] = table
+    return table
 
 
 def default_m_max(n_obs: int, min_seg: int = 2) -> int:
@@ -178,7 +173,7 @@ class _Objective:
         self.penalty_name = penalty_name
         self.min_seg = min_seg
         self.m_max = default_m_max(self.n, min_seg)
-        self.s, self.ss = _prefix_moments(series.values)
+        self.s, self.ss = series.centered_moments
         self.zero_tol = _ZERO_RSS_RTOL * self._rss(self._bounds(()))
 
     def _bounds(self, times) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .binseg import split_recursively
 from .core import ChangepointConfig, Seed, TimeSeries, universal_threshold
-from .cusum import batch_max_cusum, prefix_sums
+from .cusum import batch_max_cusum
 
 
 def sample_interval_pairs(
@@ -53,10 +53,9 @@ def wbs_detect(
     if min_span < 1:
         raise ValueError(f"min_span must be at least 1, got {min_span}")
     threshold = universal_threshold(series, c)
-    p = prefix_sums(series.values)
     intervals = None
     if m_intervals > 0:
         rng = np.random.default_rng(seed)
         starts, ends = sample_interval_pairs(rng, len(series), m_intervals, min_span)
-        intervals = (starts, ends, *batch_max_cusum(p, starts, ends))
-    return split_recursively(series, p, threshold, intervals=intervals)
+        intervals = (starts, ends, *batch_max_cusum(series.prefix_sums, starts, ends))
+    return split_recursively(series, threshold, intervals=intervals)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangepointConfig, Seed, TimeSeries, mad_sigma, threshold_level
-from .cusum import batch_max_cusum, magnitude_floor, prefix_sums
+from .core import ChangepointConfig, Seed, TimeSeries, threshold_level
+from .cusum import batch_max_cusum
 from .wbs import sample_interval_pairs
 
 
@@ -88,8 +88,7 @@ def wbs2_candidates(
     if m_stage < 1:
         raise ValueError(f"m_stage must be positive, got {m_stage}")
     rng = np.random.default_rng(seed)
-    p = prefix_sums(series.values)
-    dust = magnitude_floor(series.values)
+    p, dust = series.prefix_sums, series.magnitude_floor
 
     records: list[CandidateEntry] = []
     root_s, mag_tab = 1, np.empty((0, 0))  # the current exhaustive root's tables; none yet
@@ -184,4 +183,4 @@ def wbs2_sdll_detect(
     robust noise scale."""
     check_sdll(lam, floor_mult)  # before the candidate list, the costly part
     candidates = wbs2_candidates(series, m_stage, seed)
-    return sdll_select(candidates, mad_sigma(series), lam, floor_mult)
+    return sdll_select(candidates, series.sigma_hat, lam, floor_mult)

@@ -7,13 +7,14 @@ import pytest
 
 from cpdkit import (
     TeethSpec,
+    TimeSeries,
     gen_null,
     gen_teeth,
     run_null_study,
     run_signal_study,
     wbs2_sdll_detect,
 )
-from cpdkit import bench
+from cpdkit import bench, core, penlik
 from cpdkit.bench import (
     VALID_METHODS,
     check_study,
@@ -149,9 +150,22 @@ class TestRunNullStudy:
                 run_signal_study(spec, ["binseg"], 2, 1, n_jobs=n_jobs)
 
     def test_parallel_matches_serial(self):
-        serial = run_null_study(["wbs"], [60], 16, 5, n_jobs=1)
-        parallel = run_null_study(["wbs"], [60], 16, 5, n_jobs=2)
+        # bic and mbic share the RSS table their series keeps, in a worker as
+        # in the parent process
+        serial = run_null_study(list(VALID_METHODS), [60], 16, 5, n_jobs=1)
+        parallel = run_null_study(list(VALID_METHODS), [60], 16, 5, n_jobs=2)
         assert serial == parallel
+
+    def test_replication_computes_per_series_values_once(self, count_calls):
+        # the detectors of one replication share its series' prefix sums,
+        # centered moments, noise scale and segment-neighbourhood DP; at T=100
+        # the DP builds its cost rows in one block
+        counts = {name: count_calls(owner, name) for owner, name in (
+            (TimeSeries, "prefix_sums"), (TimeSeries, "centered_moments"),
+            (core, "mad_sigma"), (penlik, "_cost_rows"),
+        )}
+        bench._replicate((["bic", "mbic", "wbs", "wbs2-sdll"], 100, None, 0, 5, None))
+        assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 1)
 
     def test_one_pool_with_no_more_workers_than_chunks(self, monkeypatch):
         # a pool starts all its workers at once: a study opens one pool, with

@@ -6,7 +6,7 @@ import pytest
 
 from cpdkit import TimeSeries, binary_segmentation, gen_null, gen_teeth, max_cusum, wbs_detect
 from cpdkit.core import universal_threshold
-from cpdkit.cusum import batch_max_cusum, magnitude_floor, max_cusum_from_sums, prefix_sums
+from cpdkit.cusum import batch_max_cusum, max_cusum_from_sums
 from cpdkit.binseg import split_recursively
 from cpdkit.wbs import sample_interval_pairs
 
@@ -14,8 +14,8 @@ from cpdkit.wbs import sample_interval_pairs
 def reference_binseg(series, threshold, min_len):
     """Binary segmentation's own deque loop, before it shared one recursion
     with WBS."""
-    p = prefix_sums(series.values)
-    cutoff = max(threshold, magnitude_floor(series.values))
+    p = series.prefix_sums
+    cutoff = max(threshold, series.magnitude_floor)
     found = []
     segments = deque([(1, len(series))])
     while segments:
@@ -34,8 +34,8 @@ def reference_wbs(series, m_intervals, c, seed, min_span):
     """WBS's own deque loop, before it shared one recursion with binary
     segmentation."""
     n_obs = len(series)
-    threshold = max(universal_threshold(series, c), magnitude_floor(series.values))
-    p = prefix_sums(series.values)
+    threshold = max(universal_threshold(series, c), series.magnitude_floor)
+    p = series.prefix_sums
     if m_intervals > 0:
         rng = np.random.default_rng(seed)
         starts, ends = sample_interval_pairs(rng, n_obs, m_intervals, min_span)
@@ -99,13 +99,13 @@ def test_contained_interval_must_beat_the_segment_strictly():
     # on (1, 6) the interval (4, 6) ties the segment's own contrast, at split
     # 5 against 3; the segment's split wins, and (4, 6) is too short to split
     series = TimeSeries([0.0, 0.0, 0.0, 1.0, 2.0, 0.0])
-    p = prefix_sums(series.values)
+    p = series.prefix_sums
     starts, ends = np.array([4]), np.array([6])
     splits, mags = batch_max_cusum(p, starts, ends)
     assert (3, 5) == (max_cusum(series, 1, 6)[0], splits[0])
     assert max_cusum(series, 1, 6)[1] == mags[0]
     table = (starts, ends, splits, mags)
-    assert split_recursively(series, p, 1.0, min_len=4, intervals=table).times == (4,)
+    assert split_recursively(series, 1.0, min_len=4, intervals=table).times == (4,)
 
 
 class TestBinarySegmentation:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import cpdkit.core
 import cpdkit.penlik
 from cpdkit import TimeSeries, bench, binary_segmentation, gen_teeth
 from cpdkit.cli import _method_params, build_parser, main
@@ -139,6 +140,27 @@ class TestDetect:
             assert main(["detect", str(src), "--method", method]) == 0
             assert json.loads(capsys.readouterr().out)["rss"] > 0
             assert len(calls) == 1, method
+
+    def test_detect_computes_noise_scale_once(self, tmp_path, capsys, count_calls):
+        # the reported sigma_hat is the one the detector used, not a recount
+        src = tmp_path / "n.csv"
+        values = np.random.default_rng(2).standard_normal(60)
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        calls = count_calls(cpdkit.core, "mad_sigma")
+        for method in bench.VALID_METHODS:
+            calls.clear()
+            assert main(["detect", str(src), "--method", method]) == 0
+            assert json.loads(capsys.readouterr().out)["sigma_hat"] > 0
+            assert len(calls) == 1, method
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-200])
+    def test_penalized_detect_outside_moment_range_exits_4(self, tmp_path, capsys, scale):
+        src = tmp_path / "n.csv"
+        values = scale * np.random.default_rng(2).standard_normal(60)
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        for method in ("bic", "mbic"):
+            assert main(["detect", str(src), "--method", method]) == 4
+            assert "between about 1e-150 and " in capsys.readouterr().err
 
     def test_detector_flag_defaults_match_detectors(self):
         # every flag default must equal, in value and type, the parameter it

@@ -331,7 +331,7 @@ class TestHybridRefine:
 def _dense_rss_table(series, m_max, min_seg):
     """Reference segment-neighborhood DP over the whole (T+1)^2 cost matrix."""
     n = len(series)
-    s, ss = penlik._prefix_moments(series.values)
+    s, ss = series.centered_moments
     t = np.arange(n + 1)
     lengths = t[None, :] - t[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,7 +375,9 @@ def test_blockwise_dp_matches_dense_reference(monkeypatch):
                 expected = _dense_rss_table(series, m_max, min_seg)
                 for block in (1, 7, 128, n + 1, 10 * n):
                     monkeypatch.setattr(penlik, "_COST_BLOCK", block)
-                    assert segment_rss_table(series, m_max, min_seg) == expected
+                    # a fresh series, which keeps no table from the last block
+                    fresh = TimeSeries(series.values)
+                    assert segment_rss_table(fresh, m_max, min_seg) == expected
 
 
 def test_dp_matches_dense_reference_on_small_integer_series():
@@ -465,6 +467,49 @@ def test_zero_rss_rule_is_scale_free():
     for value in (3e-9, 0.1, 1000.1):
         fit = select_bic(TimeSeries([value] * 40))
         assert (fit.config.times, fit.degenerate, fit.objective) == ((), True, -math.inf)
+
+
+def _step_series(scale):
+    x = np.random.default_rng(1).standard_normal(200)
+    x[100:] += 3
+    return TimeSeries(scale * x)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e152, 1e-200])
+def test_penalized_paths_reject_magnitudes_whose_squares_overflow_or_vanish(scale):
+    # at 1e154 the centered squares overflow and the fit failed inside
+    # ChangepointConfig; at 1e152 they sum to a finite value, but squared
+    # segment sums overflow, and both selections moved the step from 101 to
+    # 91; at 1e-200 they vanish and the step came back as a degenerate fit
+    # with no changepoints, as for a constant series
+    series = _step_series(scale)
+    candidates = wbs2_candidates(series, seed=1)
+    paths = {
+        "select_bic": lambda: select_bic(series),
+        "select_mbic": lambda: select_mbic(series),
+        "ga_optimize": lambda: ga_optimize(series, "bic", GaParams(4, 2)),
+        "hybrid_refine": lambda: hybrid_refine(series, candidates, "mbic"),
+        "evaluate_fit": lambda: evaluate_fit(series, ChangepointConfig.empty(200), "bic"),
+    }
+    for name, path in paths.items():
+        with pytest.raises(ValueError, match="between about 1e-150 and "):
+            path()
+            pytest.fail(name)
+
+
+def test_penalized_fits_sharing_a_series_match_fresh_series():
+    # the RSS table a series keeps is keyed by (m_max, min_seg): the order of
+    # the calls and a change of min_seg between them do not change a fit. A
+    # two-observation spike gives min_seg 2 and 3 different fits at one m_max
+    values = gen_teeth(120, 15, 1.0, 0.6, seed=8)[0].values.copy()
+    values[60:62] += 6
+    calls = [(select_mbic, 2), (select_bic, 2), (select_bic, 3), (select_mbic, 3), (select_bic, 2)]
+    fresh = [select(TimeSeries(values), min_seg) for select, min_seg in calls]
+    for order in (calls, calls[::-1]):
+        shared = TimeSeries(values)
+        fits = [select(shared, min_seg) for select, min_seg in order]
+        assert fits == [fresh[calls.index(call)] for call in order]
+    assert fresh[1] != fresh[2]
 
 
 def _bit_vector_exhaustive(series, pool, penalty_name, min_seg):

@@ -7,7 +7,7 @@ same changepoints. Scaling by a power of two is exact too, so the CUSUM
 detectors, whose statistics and thresholds both scale with the noise scale,
 return the same changepoints. Shifts and other scales round, so for them
 the CUSUM detectors are pinned within the documented limits: shifts up to
-1e8 and scales from 1e-6 to 1e6. BIC and mBIC are pinned under scaling by
+1e8 and scales from 1e-100 to 1e6. BIC and mBIC are pinned under scaling by
 2**k, |k| <= 8: the segment RSS scale by exactly 4**k, and only their log
 terms may round differently. Under a shift by 1000 they held in a probe of
 60 series, but are not pinned.
@@ -77,7 +77,7 @@ def test_translation_leaves_cusum_changepoints_unchanged(case):
 def test_scaling_leaves_cusum_changepoints_unchanged(case):
     series, seed = case
     expected = {method: run_method(method, series, seed) for method in CUSUM_METHODS}
-    for scale in (3.0, 0.1, 10.0, 1e-6, 1e6):
+    for scale in (3.0, 0.1, 10.0, 1e-6, 1e6, 1e-13, 1e-15, 1e-100):
         scaled = TimeSeries(series.values * scale)
         for method in CUSUM_METHODS:
             assert run_method(method, scaled, seed) == expected[method], (method, scale)

@@ -17,7 +17,7 @@ from cpdkit import (
 )
 from cpdkit import wbs2
 from cpdkit.core import mad_sigma, universal_threshold
-from cpdkit.cusum import batch_max_cusum, magnitude_floor, prefix_sums
+from cpdkit.cusum import batch_max_cusum
 from cpdkit.wbs import sample_interval_pairs
 
 
@@ -33,8 +33,8 @@ def reference_candidates(series, m_stage, seed):
     """wbs2_candidates with one batch_max_cusum call at every stage and the
     exhaustive pairs listed row-major by a comprehension."""
     rng = np.random.default_rng(seed)
-    p = prefix_sums(series.values)
-    dust = magnitude_floor(series.values)
+    p = series.prefix_sums
+    dust = series.magnitude_floor
     records = []
     stack = [(1, len(series))]
     while stack:
