@@ -22,6 +22,7 @@ constant series (null RSS 0) is a perfect fit at m = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,9 +71,19 @@ class RssTable:
 
 def _segment_cost(s: np.ndarray, ss: np.ndarray, u, t) -> np.ndarray:
     """RSS of one mean over observations u+1..t (prefix indices), for index
-    arrays u and t broadcast against each other; clipped at 0 against
-    cancellation on near-perfect fits."""
-    return np.maximum((ss[t] - ss[u]) - (s[t] - s[u]) ** 2 / (t - u), 0.0)
+    arrays u and t broadcast against each other."""
+    return _rss_from_sums(np.asarray(ss[t] - ss[u]), np.asarray(s[t] - s[u]), t - u)
+
+
+def _rss_from_sums(sq: np.ndarray, total: np.ndarray, length) -> np.ndarray:
+    """sq - total^2 / length: the RSS of one mean over segments with these
+    centered sums of squares, sums and lengths, clipped at 0 against
+    cancellation on near-perfect fits. Works in place: overwrites sq and
+    total, and returns sq."""
+    total **= 2
+    total /= length
+    sq -= total
+    return np.maximum(sq, 0.0, out=sq)
 
 
 # end times of the segment-cost matrix built at once; working memory is a few
@@ -83,12 +94,19 @@ _COST_BLOCK = 128
 def _cost_rows(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) -> np.ndarray:
     """cost[t - lo, u] = RSS of one mean over observations u+1..t (prefix
     indices) for rows t in [lo, hi) and columns u < hi, inf where the segment
-    is shorter than min_seg (so for every u >= t)."""
-    t = np.arange(lo, hi)[:, None]
-    u = np.arange(hi)[None, :]
+    is shorter than min_seg (so for every u >= t).
+
+    Formed in two (hi - lo) x hi buffers; the lengths t - u are a view of one
+    float row (exact below 2^53).
+    """
+    # lengths[i, u] = lo + i - u
+    lengths = np.lib.stride_tricks.sliding_window_view(
+        np.arange(hi - 1, lo - hi, -1, dtype=np.float64), hi)[::-1]
+    cost = np.subtract.outer(ss[lo:hi], ss[:hi])
     with np.errstate(divide="ignore", invalid="ignore"):
-        cost = _segment_cost(s, ss, u, t)
-    cost[u > t - min_seg] = np.inf
+        _rss_from_sums(cost, np.subtract.outer(s[lo:hi], s[:hi]), lengths)
+    short = max(lo - min_seg + 1, 0)  # no earlier column is too short for row lo
+    np.copyto(cost[:, short:], np.inf, where=lengths[:, short:] < min_seg)
     return cost
 
 
@@ -100,13 +118,25 @@ def _check_min_seg(min_seg: int) -> None:
 def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTable:
     """Exact minimal-RSS configurations for every count m = 0..m_max.
 
-    Segment-neighborhood dynamic programming in O(m_max * T^2) time and
-    O(T * _COST_BLOCK) memory: each block of cost rows (one per end time t)
-    is built once and every level advances across it before the next block,
-    which is valid because f_k[t] reads f_{k-1}[u] only for u < t. A level
-    is one in-place add and one argmin along each contiguous row; argmin
-    keeps the first minimum, so ties go to the smallest u. The series keeps
-    the table by (m_max, min_seg): select_bic and select_mbic on it share one DP.
+    Segment-neighborhood dynamic programming in O(m_max * T^2) time at worst
+    and O(T * _COST_BLOCK) memory: each block of cost rows (one per end time
+    t) is built once and every level advances across it before the next
+    block, which is valid because f_k[t] reads f_{k-1}[u] only for u < t. A
+    level is one add into one contiguous buffer and one argmin along each
+    row; argmin keeps the first minimum, so ties go to the smallest u. Level
+    m_max is read only at t = T, so only that row of it is computed.
+
+    Level k >= 2 reads only the columns u >= band[k]. After each block but
+    the last, band[k] advances over the leading run of columns u with
+    f_{k-1}[u] + C(u, t) > f_{k-1}[t] + slack at t = hi - min_seg, the first
+    end time whose column the next block reads. Since C(u, s) >= C(u, t) +
+    C(t, s) for u < t < s, such a u loses to t strictly at every later end
+    time and is never a first minimum, so the table is the one the full DP
+    gives (the pruning of PELT and SNIP: Killick et al. 2012, Maidstone et
+    al. 2017). Level 1 never prunes: a split never raises the RSS.
+
+    The series keeps the table by (m_max, min_seg): select_bic and
+    select_mbic on it share one DP.
     """
     n = len(series)
     if m_max < 0:
@@ -121,19 +151,49 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
         return series._rss_tables[m_max, min_seg]
 
     s, ss = series.centered_moments
+    # The slack bounds the rounding of the pruning test. With the stored
+    # prefix sums the unclipped cost formula D satisfies D(u, s) >= D(u, t) +
+    # D(t, s) exactly (the ss terms telescope, and a^2/p + b^2/q >=
+    # (a+b)^2/(p+q)), so only rounding breaks the inequality. ss is
+    # non-decreasing, so no finite f or cost exceeds about R = ss[T]. A cost
+    # is formed within 4 eps R of D, and the clip at 0 lifts it by at most the
+    # prefix sums' own rounding, (T + 2 T^1.5 + 1) eps R; a sum of two such
+    # values rounds by at most eps R. The test and the two later sums it
+    # compares take three costs and four sums, so together they err by under
+    # (4 T^1.5 + 2 T + 18) eps R <= 24 T^1.5 eps R. With R = 0 (a constant
+    # series) every cost and f is 0, and where f_{k-1}[t] is inf, nothing
+    # passes the test.
+    slack = 64 * n**1.5 * np.finfo(np.float64).eps * float(ss[-1])
     f = np.empty((m_max + 1, n + 1))  # f[k, t]: best RSS of t obs with k changepoints
     backs = np.empty((m_max, n + 1), dtype=np.int64)
+    band = [0] * (m_max + 1)  # band[k]: the first column level k reads
+    buf = np.empty(min(_COST_BLOCK, n + 1) * (n + 1))
     for lo in range(0, n + 1, _COST_BLOCK):
         hi = min(lo + _COST_BLOCK, n + 1)
         cost = _cost_rows(s, ss, lo, hi, min_seg)
         f[0, lo:hi] = cost[:, 0]  # one segment over the first t observations
         rows = np.arange(hi - lo)
-        w = np.empty_like(cost)
-        for k in range(1, m_max + 1):
-            np.add(f[k - 1, :hi], cost, out=w)
-            back = np.argmin(w, axis=1)
-            backs[k - 1, lo:hi] = back
+        for k in range(1, m_max):
+            b = band[k]
+            w = buf[: rows.size * (hi - b)].reshape(rows.size, hi - b)
+            np.add(f[k - 1, b:hi], cost[:, b:], out=w)
+            back = w.argmin(axis=1)
             f[k, lo:hi] = w[rows, back]
+            back += b
+            backs[k - 1, lo:hi] = back
+        t = hi - min_seg
+        if hi > n or t < lo:
+            continue  # no later block, or no row for t in this one
+        for k in range(2, m_max + 1):
+            b, end = band[k], t - min_seg + 1  # the columns u <= t - min_seg
+            if b < end:
+                pruned = f[k - 1, b:end] + cost[t - lo, b:end] > f[k - 1, t] + slack
+                band[k] = b + (end - b if pruned.all() else int(np.argmin(pruned)))
+    if m_max:
+        b = band[m_max]
+        w = f[m_max - 1, b:] + cost[-1, b:]
+        back = int(np.argmin(w))
+        backs[m_max - 1, n], f[m_max, n] = back + b, w[back]
 
     configs: list[tuple[int, ...]] = [()]
     for m in range(1, m_max + 1):
@@ -175,6 +235,8 @@ class _Objective:
         self.m_max = default_m_max(self.n, min_seg)
         self.s, self.ss = series.centered_moments
         self.zero_tol = _ZERO_RSS_RTOL * self._rss(self._bounds(()))
+        if penalty_name == "mbic":  # ln(l / T), the mBIC term of a segment of length l
+            self.log_rel_len = functools.cache(lambda l, n=self.n: math.log(l / n))
 
     def _bounds(self, times) -> np.ndarray:
         """Prefix indices 0, t_1 - 1, ..., t_m - 1, T delimiting the segments."""
@@ -199,7 +261,7 @@ class _Objective:
         """The objective of a fit; -inf where the RSS counts as a perfect fit."""
         if rss <= self.zero_tol:
             return -math.inf
-        log_sum = (sum(math.log(l / self.n) for l in segment_lengths)
+        log_sum = (sum(map(self.log_rel_len, segment_lengths))
                    if self.penalty_name == "mbic" else 0.0)
         return self.value(rss, log_sum, len(segment_lengths) - 1)
 
@@ -227,8 +289,8 @@ class _Objective:
         """The key of each row of a C-contiguous block of bounds, one count.
 
         The block's row sums equal the ``np.sum`` of each row alone bit for
-        bit, and the log terms stay ``math.log`` through :meth:`score`, so a
-        key does not depend on the block it is scored in.
+        bit, and :meth:`score` takes each log term from one cache of
+        ``math.log`` values, so a key does not depend on the block it is scored in.
         """
         m = bounds.shape[1] - 2
         keys = [(math.inf, m)] * len(bounds)

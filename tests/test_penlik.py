@@ -328,8 +328,9 @@ class TestHybridRefine:
         assert set(truth.times) <= set(fit.config.times)
 
 
-def _dense_rss_table(series, m_max, min_seg):
-    """Reference segment-neighborhood DP over the whole (T+1)^2 cost matrix."""
+def _dense_levels(series, m_max, min_seg):
+    """Reference segment-neighborhood DP over the whole (T+1)^2 cost matrix:
+    cost[u, t], every level f[k, t] and its back pointers backs[k - 1][t]."""
     n = len(series)
     s, ss = series.centered_moments
     t = np.arange(n + 1)
@@ -338,13 +339,19 @@ def _dense_rss_table(series, m_max, min_seg):
         cost = (ss[None, :] - ss[:, None]) - (s[None, :] - s[:, None]) ** 2 / lengths
     cost = np.maximum(cost, 0.0)
     cost[lengths < min_seg] = np.inf
-    f = cost[0].copy()
-    rss, backs = [float(f[n])], []
+    f, backs = [cost[0].copy()], []
     for _ in range(m_max):
-        w = f[:, None] + cost
-        f = np.min(w, axis=0)
+        w = f[-1][:, None] + cost
+        f.append(np.min(w, axis=0))
         backs.append(np.argmin(w, axis=0))
-        rss.append(float(f[n]))
+    return cost, np.array(f), backs
+
+
+def _dense_rss_table(series, m_max, min_seg):
+    """The RssTable of the dense reference DP."""
+    n = len(series)
+    _, f, backs = _dense_levels(series, m_max, min_seg)
+    rss = f[:, n].tolist()
     configs = [()]
     for m in range(1, m_max + 1):
         end, times = n, []
@@ -400,6 +407,33 @@ def test_dp_matches_dense_reference_on_small_integer_series():
     check()
 
 
+@pytest.mark.parametrize("min_seg", (2, 3, 5))
+def test_pruned_dp_matches_dense_reference_on_long_series(monkeypatch, min_seg):
+    # at T=800, 7-row blocks give 114 pruning tests per level and 128-row
+    # blocks give 6, on noise, teeth and series whose levels tie
+    n = 800
+    teeth, _ = gen_teeth(n, period=20, seed=n)
+    for series in (teeth, *_tie_prone_series(n)):
+        m_max = default_m_max(n, min_seg)
+        expected = _dense_rss_table(series, m_max, min_seg)
+        for block in (7, 128):
+            monkeypatch.setattr(penlik, "_COST_BLOCK", block)
+            assert segment_rss_table(TimeSeries(series.values), m_max, min_seg) == expected
+
+
+def test_pruning_keeps_a_column_one_ulp_from_a_tie(monkeypatch):
+    # the constant tail's segment costs are rounding residue, so at level 3
+    # the pruning test at t = 10 (2-row blocks, min_seg 2) finds column 7 one
+    # ulp above column 10, yet the dense DP picks column 7 at t = 12
+    series = TimeSeries(np.array([0.93, 1.37, 0.24, -1.16] + [-2.0] * 8))
+    m_max = default_m_max(len(series), 2)
+    cost, f, backs = _dense_levels(series, m_max, 2)
+    assert f[2, 7] + cost[7, 10] == np.nextafter(f[2, 10], np.inf)
+    assert backs[2][12] == 7
+    monkeypatch.setattr(penlik, "_COST_BLOCK", 2)
+    assert segment_rss_table(series, m_max, 2) == _dense_rss_table(series, m_max, 2)
+
+
 def test_dp_memory_bounded_by_cost_block():
     # working memory is a few _COST_BLOCK x (T+1) float64 blocks, not the
     # dense (T+1)^2 cost matrix (32 MB at T=2000)
@@ -411,7 +445,7 @@ def test_dp_memory_bounded_by_cost_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * block_bytes
+    assert peak < 5 * block_bytes
     assert peak < 8 * (len(series) + 1) ** 2 / 2
 
 
