@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binseg import binary_segmentation
+from .binseg import binary_segmentation, check_binseg
 from .core import (
     ChangepointConfig,
     Seed,
@@ -24,9 +24,9 @@ from .core import (
     gen_teeth,
 )
 from .distance import config_distance
-from .penlik import PenalizedFit, select_bic, select_mbic
-from .wbs import wbs_detect
-from .wbs2 import check_sdll, wbs2_sdll_detect
+from .penlik import PenalizedFit, check_min_seg, select_bic, select_mbic
+from .wbs import check_wbs, wbs_detect
+from .wbs2 import check_wbs2_sdll, wbs2_sdll_detect
 
 
 # The one place a method name meets its detector, which returns a
@@ -150,16 +150,22 @@ def _replicate(args) -> dict[str, tuple[int, float]]:
 
 
 def _check_constants(method: str, params: dict) -> None:
-    """The detector's own checks of its threshold constants, run on the call
-    :func:`run_method` makes with ``params``, over the defaults in its
-    signature; a parameter the detector does not take, or a ``seed`` besides
-    the study's, raises TypeError."""
+    """The detector's own checks of its sizes and threshold constants, run on
+    the call :func:`run_method` makes with ``params``, over the defaults in
+    its signature; a parameter the detector does not take, or a ``seed``
+    besides the study's, raises TypeError."""
     bound = _SIGNATURES[method].bind(None, **_seed_kwarg(method, 0), **params)
     bound.apply_defaults()
     kwargs = bound.arguments
-    if method == "wbs2-sdll":
-        check_sdll(kwargs["lam"], kwargs["floor_mult"])
-    elif "c" in kwargs and kwargs.get("threshold") is None:
+    if method in ("bic", "mbic"):
+        check_min_seg(kwargs["min_seg"])
+    elif method == "wbs2-sdll":
+        check_wbs2_sdll(kwargs["m_stage"], kwargs["lam"], kwargs["floor_mult"])
+    elif method == "wbs":
+        check_wbs(kwargs["m_intervals"], kwargs["min_span"])
+    else:  # binseg
+        check_binseg(kwargs["threshold"], kwargs["min_len"])
+    if "c" in kwargs and kwargs.get("threshold") is None:
         check_threshold_c(kwargs["c"])
 
 

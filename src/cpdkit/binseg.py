@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import ChangepointConfig, TimeSeries, universal_threshold
+from .core import ChangepointConfig, TimeSeries, check_size, universal_threshold
 from .cusum import max_cusum_from_sums
 
 
@@ -40,6 +40,13 @@ def split_recursively(
     return ChangepointConfig.from_times(found, len(series))
 
 
+def check_binseg(threshold: float | None, min_len: int) -> None:
+    """Raise ValueError unless :func:`binary_segmentation` accepts these settings."""
+    if threshold is not None and not threshold >= 0:  # rejects NaN; inf finds nothing
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
+    check_size("min_len", min_len, 2)
+
+
 def binary_segmentation(
     series: TimeSeries,
     threshold: float | None = None,
@@ -53,10 +60,7 @@ def binary_segmentation(
     recursion continues on both halves and stops on segments shorter than
     ``min_len`` or with no split above the threshold.
     """
+    check_binseg(threshold, min_len)
     if threshold is None:
         threshold = universal_threshold(series, c)
-    if not threshold >= 0:  # rejects NaN; an infinite threshold finds nothing
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    if min_len < 2:
-        raise ValueError(f"min_len must be at least 2, got {min_len}")
     return split_recursively(series, threshold, min_len)

@@ -201,6 +201,16 @@ def threshold_level(c: float, n_obs: int, sigma_hat: float) -> float:
     return c * math.sqrt(2.0 * math.log(n_obs)) * sigma_hat
 
 
+def check_size(name: str, value, least: int) -> None:
+    """Raise ValueError, naming the parameter, unless ``value`` is an integer
+    (a bool is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def check_threshold_c(c: float) -> None:
     """Raise ValueError unless :func:`universal_threshold` accepts ``c``."""
     if not 0 <= c < math.inf:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangepointConfig, Seed, TimeSeries
+from .core import ChangepointConfig, Seed, TimeSeries, check_size
 from .wbs2 import SortedCandidateList
 
 M_MAX_CAP = 25
@@ -110,9 +110,9 @@ def _cost_rows(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) ->
     return cost
 
 
-def _check_min_seg(min_seg: int) -> None:
-    if min_seg < 2:
-        raise ValueError(f"min_seg must be at least 2, got {min_seg}")
+def check_min_seg(min_seg: int) -> None:
+    """Raise ValueError unless the penalized searches accept ``min_seg``."""
+    check_size("min_seg", min_seg, 2)
 
 
 def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTable:
@@ -139,9 +139,8 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     select_mbic on it share one DP.
     """
     n = len(series)
-    if m_max < 0:
-        raise ValueError(f"m_max must be non-negative, got {m_max}")
-    _check_min_seg(min_seg)
+    check_size("m_max", m_max, 0)
+    check_min_seg(min_seg)
     if (m_max + 1) * min_seg > n:
         raise ValueError(
             f"infeasible: {m_max + 1} segments of length >= {min_seg} need "
@@ -227,7 +226,7 @@ class _Objective:
     def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
         if penalty_name not in PENALTIES:
             raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
-        _check_min_seg(min_seg)
+        check_min_seg(min_seg)
         self.n = len(series)
         self.log_n = math.log(self.n)
         self.penalty_name = penalty_name
@@ -271,18 +270,41 @@ class _Objective:
         return self._block_keys(self._bounds(times)[None])[0]
 
     def keys(self, population: np.ndarray) -> list[tuple[float, int]]:
-        """The key of each 0/1 row (bit i: time i + 2), scored in one pass per
-        changepoint count; a row above m_max is (inf, count) unscored."""
+        """The key of each 0/1 row (bit i: time i + 2); a row above m_max is
+        (inf, count) unscored.
+
+        The other rows are stably sorted by count and their segments laid out
+        flat, row after row, for one cost pass over them all. Each count's
+        rows are then one contiguous (rows, m + 1) block, summed along its
+        rows as in :meth:`_block_keys`, so a key is the key of its row alone.
+        """
         counts = population.sum(axis=1)
         keys = [(math.inf, m) for m in counts.tolist()]
-        for m in set(counts.tolist()):
-            if m <= self.m_max:
-                rows = np.flatnonzero(counts == m)
-                bounds = np.empty((rows.size, m + 2), dtype=np.int64)
-                bounds[:, 0], bounds[:, -1] = 0, self.n
-                bounds[:, 1:-1] = np.nonzero(population[rows])[1].reshape(rows.size, m) + 1
-                for row, key in zip(rows.tolist(), self._block_keys(bounds)):
-                    keys[row] = key
+        rows = np.flatnonzero(counts <= self.m_max)
+        if not rows.size:
+            return keys
+        rows = rows[np.argsort(counts[rows], kind="stable")]
+        ends = np.cumsum(counts[rows] + 1)  # one past each row's last segment
+        t = np.full(ends[-1], self.n)  # the prefix index ending each segment
+        inner = np.ones(t.size, dtype=bool)
+        inner[ends - 1] = False
+        t[inner] = np.nonzero(population[rows])[1] + 1
+        u = np.empty_like(t)  # the prefix index starting each segment
+        u[1:] = t[:-1]
+        u[0] = u[ends[:-1]] = 0
+        cost = _segment_cost(self.s, self.ss, u, t)
+        lengths = t - u
+        start = 0
+        for m, n_rows in zip(*np.unique(counts[rows], return_counts=True)):
+            m, n_rows = int(m), int(n_rows)
+            stop = start + n_rows * (m + 1)
+            block = lengths[start:stop].reshape(n_rows, m + 1)
+            ok = block.min(axis=1) >= self.min_seg
+            rss = np.sum(cost[start:stop].reshape(n_rows, m + 1), axis=1)
+            for j, rss_j, lengths_j in zip(rows[: n_rows][ok].tolist(), rss[ok].tolist(),
+                                           block[ok].tolist()):
+                keys[j] = (self.score(rss_j, lengths_j), m)
+            rows, start = rows[n_rows:], stop
         return keys
 
     def _block_keys(self, bounds: np.ndarray) -> list[tuple[float, int]]:
@@ -378,14 +400,22 @@ class GaParams:
     generations: int = 200
 
     def __post_init__(self):
-        for name in ("population", "generations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.population < 1:
-            raise ValueError(f"population must be at least 1, got {self.population}")
-        if self.generations < 0:
-            raise ValueError(f"generations must be non-negative, got {self.generations}")
+        check_size("population", self.population, 1)
+        check_size("generations", self.generations, 0)
+
+
+def _crossover_cut(rng: np.random.Generator, n_bits: int) -> tuple[int, int]:
+    """The sorted pair ``np.sort(rng.choice(n_bits, 2, replace=False))``
+    gives, from the same draws at a fraction of the call overhead. numpy's
+    Generator draws that pair by Floyd's sampling, a below n_bits - 1, then b
+    below n_bits, taking n_bits - 1 if b repeats a, and shuffles the two with
+    one draw below 2, which the sort makes moot."""
+    a = rng.integers(0, n_bits - 1)
+    b = rng.integers(0, n_bits)
+    rng.integers(0, 2)  # the shuffle's draw
+    if b == a:
+        b = n_bits - 1
+    return (a, b) if a < b else (b, a)
 
 
 def ga_optimize(
@@ -401,15 +431,24 @@ def ga_optimize(
     objective and feasibility constraints as the exact selectors, so the
     returned objective can never undercut the dynamic-programming optimum.
 
+    The draws are those of breeding one child at a time, in the same order.
+    Each generation first makes its draws pair by pair: the two tournaments
+    as one (2, 3) integer draw, the crossover coin, the cut if the coin is
+    below the rate (:func:`_crossover_cut`, the draws of ``rng.choice``
+    without the call), and the two mutation masks' uniforms as one (2, bits)
+    draw, which the generator fills from the stream as it would the two
+    draws. An odd population draws its last pair's second child and drops
+    it. The whole generation is then bred in array passes: every
+    tournament at once, one gather of the parents, the two-point crossovers
+    as one mask of swapped columns, and the mutations as one XOR. A
+    tournament goes to the first draw of least dense rank, in which equal
+    keys share a rank, so ties go to the earlier draw, as a ``min`` over the
+    keys has it.
+
     A generation is scored in one :meth:`_Objective.keys` call: a row held
     by the previous generation takes its key from there, found by its packed
-    bits, and the other distinct rows are scored batched by count, each to
-    the key it gets alone. The draws are those of breeding one child at a
-    time, in the same order: a pair's two tournaments are one (2, 3) integer
-    draw and its two mutation masks one (2, bits) uniform draw, which the
-    generator fills from the stream as it would the two draws. A tournament
-    goes to the first draw of least dense rank, in which equal keys share a
-    rank, so ties go to the earlier draw, as a ``min`` over the keys has it.
+    bits, and the other distinct rows are scored in one flat pass, each to
+    the key it gets alone.
     """
     n = len(series)
     if n < 6:
@@ -419,7 +458,12 @@ def ga_optimize(
     rng = np.random.default_rng(seed)
     size, n_bits = params.population, n - 1
     mutation_rate = _MUTATIONS_PER_CHILD / n_bits
-    n_elite, pair_rows = min(_ELITISM, size), np.arange(2)
+    n_elite = min(_ELITISM, size)
+    n_pairs = (size - n_elite + 1) // 2  # an odd size draws a last child it drops
+    draws = np.empty((n_pairs, 2, _TOURNAMENT), dtype=np.int64)
+    cuts = np.empty((n_pairs, 2), dtype=np.int64)  # [lo, hi): the swapped columns
+    noise = np.empty((n_pairs, 2, n_bits))
+    columns = np.arange(n_bits)
 
     def score(population: np.ndarray, previous: dict) -> tuple[list, dict]:
         """The key of each row, and the keys by packed row."""
@@ -438,19 +482,20 @@ def ga_optimize(
     keys, known = score(population, {})
 
     for _ in range(params.generations):
+        for q in range(n_pairs):
+            draws[q] = rng.integers(0, size, size=(2, _TOURNAMENT))
+            cuts[q] = _crossover_cut(rng, n_bits) if rng.random() < _CROSSOVER_RATE else 0
+            rng.random(out=noise[q])
         rank_of = {key: r for r, key in enumerate(sorted(set(keys)))}
         rank = np.array([rank_of[key] for key in keys])
         children = np.empty_like(population)
         children[:n_elite] = population[np.argsort(rank, kind="stable")[:n_elite]]
-        for i in range(n_elite, size, 2):
-            draws = rng.integers(0, size, size=(2, _TOURNAMENT))
-            parents = draws[pair_rows, np.argmin(rank[draws], axis=1)]
-            pair = population[parents]
-            if rng.random() < _CROSSOVER_RATE:
-                lo, hi = np.sort(rng.choice(n_bits, size=2, replace=False))
-                pair[:, lo:hi] = population[parents[::-1], lo:hi]
-            pair ^= rng.random((2, n_bits)) < mutation_rate
-            children[i : i + 2] = pair[: size - i]  # an odd size drops the last child
+        winners = np.argmin(rank[draws], axis=2)[..., None]
+        pairs = population[np.take_along_axis(draws, winners, axis=2)[..., 0]]
+        swap = (cuts[:, :1] <= columns) & (columns < cuts[:, 1:])
+        pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
+        pairs ^= noise < mutation_rate
+        children[n_elite:] = pairs.reshape(-1, n_bits)[: size - n_elite]
         population = children
         keys, known = score(population, known)
 

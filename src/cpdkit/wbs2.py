@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangepointConfig, Seed, TimeSeries, threshold_level
+from .core import ChangepointConfig, Seed, TimeSeries, check_size, threshold_level
 from .cusum import batch_max_cusum
 from .wbs import sample_interval_pairs
 
@@ -85,8 +85,7 @@ def wbs2_candidates(
     exhaustive subtree draws nothing, the stack finishes it before anything
     else, and an interval's result does not depend on its batch.
     """
-    if m_stage < 1:
-        raise ValueError(f"m_stage must be positive, got {m_stage}")
+    check_size("m_stage", m_stage, 1)
     rng = np.random.default_rng(seed)
     p, dust = series.prefix_sums, series.magnitude_floor
 
@@ -172,6 +171,12 @@ def sdll_select(
     return ChangepointConfig.from_times(times, n_obs)
 
 
+def check_wbs2_sdll(m_stage: int, lam: float, floor_mult: float) -> None:
+    """Raise ValueError unless :func:`wbs2_sdll_detect` accepts these settings."""
+    check_size("m_stage", m_stage, 1)
+    check_sdll(lam, floor_mult)
+
+
 def wbs2_sdll_detect(
     series: TimeSeries,
     m_stage: int = 100,
@@ -181,6 +186,6 @@ def wbs2_sdll_detect(
 ) -> ChangepointConfig:
     """Full detector: ranked candidates, then steepest-drop selection with the
     robust noise scale."""
-    check_sdll(lam, floor_mult)  # before the candidate list, the costly part
+    check_wbs2_sdll(m_stage, lam, floor_mult)  # before the candidate list, the costly part
     candidates = wbs2_candidates(series, m_stage, seed)
     return sdll_select(candidates, series.sigma_hat, lam, floor_mult)

@@ -5,6 +5,7 @@ gives a per-criterion checklist. Criterion 1 runs the full benchmark
 (1000 replications per cell) and takes a few minutes.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -32,6 +33,9 @@ from cpdkit.wbs2 import CandidateEntry, SortedCandidateList
 
 ACCEPTANCE_SEED = 12345  # the CLI default master seed
 N_JOBS = min(4, os.cpu_count() or 1)
+# SHA-256 of the null_results.csv that `cpdkit bench --table1 --seed 12345`
+# writes, with any --jobs: a speed-up must leave every Table-1 row as it is
+TABLE1_CSV_SHA256 = "3170aea5eabcd48e40177101752068a5a0ec30a5611a4077214925bcd813c8b8"
 
 
 def _read_rows(csv_path):
@@ -43,12 +47,22 @@ def _read_rows(csv_path):
 
 
 @pytest.fixture(scope="module")
-def table1_rows(tmp_path_factory):
+def table1_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("table1")
     code = main(["bench", "--table1", "--seed", str(ACCEPTANCE_SEED),
                  "--out", str(out), "--jobs", str(N_JOBS)])
     assert code == 0
-    return _read_rows(out / "null_results.csv")
+    return out / "null_results.csv"
+
+
+@pytest.fixture(scope="module")
+def table1_rows(table1_csv):
+    return _read_rows(table1_csv)
+
+
+def test_table1_results_are_bit_identical(table1_csv):
+    assert hashlib.sha256(table1_csv.read_bytes()).hexdigest() == TABLE1_CSV_SHA256
+    print("\nACCEPTANCE 1 (bytes): PASS - null_results.csv as recorded")
 
 
 def test_criterion_1_table1_bands(table1_rows):

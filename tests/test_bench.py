@@ -120,10 +120,29 @@ class TestRunNullStudy:
                                    ("wbs", {"seed": 3}), ("wbs2-sdll", {"seed": 3})):
                 with pytest.raises(TypeError):
                     run_null_study([method], [50], 2, 1, method_params={method: params})
+            # sizes out of range once raised only at the first replication, and
+            # non-integral ones inside numpy, with a TypeError naming no parameter
+            sizes = [
+                ("wbs2-sdll", {"m_stage": 0}), ("wbs", {"m_intervals": -1}),
+                ("wbs", {"min_span": 0}), ("bic", {"min_seg": 1}), ("mbic", {"min_seg": 0}),
+                ("binseg", {"min_len": 1}), ("wbs", {"m_intervals": 2.5}),
+                ("wbs2-sdll", {"m_stage": 2.5}), ("wbs", {"m_intervals": True}),
+                ("bic", {"min_seg": 3.0}), ("binseg", {"min_len": "4"}),
+                ("wbs", {"min_span": np.float64(2)}),
+            ]
+            for method, params in sizes:
+                name = next(iter(params))
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    run_null_study([method], [50], 2, 1, method_params={method: params})
+            with pytest.raises(ValueError, match="threshold must be non-negative"):
+                run_null_study(["binseg"], [50], 2, 1,
+                               method_params={"binseg": {"threshold": -1.0}})
         good = [
             ("binseg", {}), ("binseg", {"c": math.nan, "threshold": 1.0}),  # c unused
             ("wbs2-sdll", {"lam": 0.0}), ("wbs2-sdll", {"floor_mult": 1.0}),
-            ("bic", {"min_seg": 3}),
+            ("bic", {"min_seg": 3}), ("mbic", {"min_seg": np.int64(2)}),
+            ("wbs", {"m_intervals": 0}), ("wbs", {"m_intervals": np.int32(10), "min_span": 3}),
+            ("wbs2-sdll", {"m_stage": 1}), ("binseg", {"min_len": 5}),
         ]
         for method, params in good:
             check_study([method], [50], 2, 1, {method: params})

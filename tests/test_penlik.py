@@ -97,6 +97,11 @@ class TestSegmentRssTable:
             segment_rss_table(TimeSeries(np.arange(10.0)), m_max=5, min_seg=2)
         with pytest.raises(ValueError):
             segment_rss_table(TimeSeries(np.arange(10.0)), m_max=1, min_seg=1)
+        # a non-integral size once failed inside numpy with a TypeError
+        for kwargs in ({"m_max": 2.5}, {"m_max": True}, {"m_max": -1}, {"min_seg": 2.0}):
+            name = next(iter(kwargs))
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                segment_rss_table(TimeSeries(np.arange(10.0)), **{"m_max": 1, **kwargs})
 
     def test_rss_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -935,3 +940,20 @@ def test_ga_breeds_as_one_child_at_a_time(size, seed):
         previous = set(rows)
     assert batches == expected
     assert fit == expected_fit
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 499, 2999, 10001, 123457])
+def test_crossover_cut_draws_as_choice(n):
+    # the GA's cut takes the draws of np.sort(rng.choice(n, 2, replace=False))
+    # without calling it; a numpy change to Generator.choice or integers
+    # changes the pair or the generator's state after it, and fails here.
+    # One integer draw below 2^32 leaves half of a 64-bit output cached
+    for seed in range(200):
+        for odd_draws in (0, 1, 3):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for g in (rng, reference):
+                g.integers(0, 7, size=odd_draws)
+            assert rng.bit_generator.state["has_uint32"] == odd_draws % 2
+            want = tuple(np.sort(reference.choice(n, size=2, replace=False)).tolist())
+            assert penlik._crossover_cut(rng, n) == want
+            assert rng.bit_generator.state == reference.bit_generator.state

@@ -11,12 +11,28 @@ the CUSUM detectors are pinned within the documented limits: shifts up to
 2**k, |k| <= 8: the segment RSS scale by exactly 4**k, and only their log
 terms may round differently. Under a shift by 1000 they held in a probe of
 60 series, but are not pinned.
+
+Reversing a series in time mirrors every split: the first b observations
+become the last b, so a CUSUM split b on [1, T] becomes T - b and a
+changepoint tau becomes T + 2 - tau. The prefix sums are summed in the other
+order and round differently, so the mirrored contrasts agree only up to
+rounding. WBS draws other intervals on the reversed series and is not pinned.
 """
 
 import numpy as np
 import pytest
 
-from cpdkit import GaParams, TimeSeries, ga_optimize, gen_teeth, hybrid_refine, wbs2_candidates
+from cpdkit import (
+    GaParams,
+    TimeSeries,
+    binary_segmentation,
+    cusum_stat,
+    ga_optimize,
+    gen_teeth,
+    hybrid_refine,
+    max_cusum,
+    wbs2_candidates,
+)
 from cpdkit.bench import VALID_METHODS, run_method
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -90,3 +106,19 @@ def test_power_of_two_scaling_leaves_penalized_changepoints_unchanged(case, k):
     scaled = TimeSeries(series.values * 2.0**k)
     for method in ("bic", "mbic"):
         assert run_method(method, scaled, 0) == run_method(method, series, 0), method
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(teeth_series())
+def test_time_reversal_mirrors_cusum_splits(case):
+    series, _ = case
+    n = len(series)
+    reversed_series = TimeSeries(series.values[::-1])
+    # the top magnitude must lead the runner-up by far more than the
+    # rounding of contrasts formed from prefix sums in the other order
+    second, top = np.sort(np.abs([cusum_stat(series, 1, n, b) for b in range(1, n)]))[-2:]
+    hypothesis.assume(top - second > 1e-9 * top)
+    b, _ = max_cusum(series, 1, n)
+    assert max_cusum(reversed_series, 1, n)[0] == n - b
+    mirrored = tuple(sorted(n + 2 - tau for tau in binary_segmentation(series).times))
+    assert binary_segmentation(reversed_series).times == mirrored

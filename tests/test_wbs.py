@@ -76,6 +76,10 @@ class TestWbsDetect:
                 binary_segmentation(s, threshold=threshold)
         with pytest.raises(ValueError, match="m_intervals"):
             wbs_detect(s, m_intervals=-5)
+        # a non-integral count once failed inside numpy with a TypeError
+        for m_intervals in (2.5, True, "10"):
+            with pytest.raises(ValueError, match="m_intervals must be an integer"):
+                wbs_detect(s, m_intervals=m_intervals)
         # with no intervals drawn, min_span = -5 was once never checked
         for m_intervals, min_span in ((0, -5), (0, 0), (10, 0)):
             with pytest.raises(ValueError, match="min_span"):
