@@ -9,24 +9,23 @@ import inspect
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .binseg import binary_segmentation, check_binseg
+from .binseg import binary_segmentation
 from .core import (
     ChangepointConfig,
     Seed,
     TimeSeries,
+    check_settings,
     check_teeth,
-    check_threshold_c,
     gen_null,
     gen_teeth,
 )
 from .distance import config_distance
-from .penlik import PenalizedFit, check_min_seg, select_bic, select_mbic
-from .wbs import check_wbs, wbs_detect
-from .wbs2 import check_wbs2_sdll, wbs2_sdll_detect
+from .penlik import PenalizedFit, select_bic, select_mbic
+from .wbs import wbs_detect
+from .wbs2 import wbs2_sdll_detect
 
 
 # The one place a method name meets its detector, which returns a
@@ -150,23 +149,12 @@ def _replicate(args) -> dict[str, tuple[int, float]]:
 
 
 def _check_constants(method: str, params: dict) -> None:
-    """The detector's own checks of its sizes and threshold constants, run on
-    the call :func:`run_method` makes with ``params``, over the defaults in
-    its signature; a parameter the detector does not take, or a ``seed``
-    besides the study's, raises TypeError."""
-    bound = _SIGNATURES[method].bind(None, **_seed_kwarg(method, 0), **params)
-    bound.apply_defaults()
-    kwargs = bound.arguments
-    if method in ("bic", "mbic"):
-        check_min_seg(kwargs["min_seg"])
-    elif method == "wbs2-sdll":
-        check_wbs2_sdll(kwargs["m_stage"], kwargs["lam"], kwargs["floor_mult"])
-    elif method == "wbs":
-        check_wbs(kwargs["m_intervals"], kwargs["min_span"])
-    else:  # binseg
-        check_binseg(kwargs["threshold"], kwargs["min_len"])
-    if "c" in kwargs and kwargs.get("threshold") is None:
-        check_threshold_c(kwargs["c"])
+    """The call :func:`run_method` makes with ``params``, checked without
+    running it: a parameter the detector does not take, or a ``seed`` besides
+    the study's, raises TypeError, and a value outside its rule ValueError.
+    The defaults the signature fills in keep their rules."""
+    _SIGNATURES[method].bind(None, **_seed_kwarg(method, 0), **params)
+    check_settings(**params)
 
 
 def check_study(methods, lengths, n_reps: int, n_jobs: int,
@@ -181,11 +169,9 @@ def check_study(methods, lengths, n_reps: int, n_jobs: int,
         if m not in METHODS:
             raise _unknown_method(m)
         _check_constants(m, (method_params or {}).get(m) or {})
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be positive, got {n_reps}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be positive, got {n_jobs}")
+    check_settings(n_reps=n_reps, n_jobs=n_jobs)
     for length in lengths:
+        check_settings(length=length)
         if length < 10:
             raise ValueError(f"series lengths below 10 are not supported, got {length}")
     for kind, values in (("method", methods), ("length", lengths)):
@@ -286,8 +272,3 @@ def _csv_text(report: BenchmarkReport) -> str:
         f"{r.false_positive_rate:.6f},{r.avg_distance:.6f}\n"
         for r in report.rows
     )
-
-
-def write_csv(report: BenchmarkReport, path) -> None:
-    """Machine-readable output, one (method, length) cell per line."""
-    Path(path).write_text(_csv_text(report), encoding="utf-8", newline="")

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import ChangepointConfig, TimeSeries, check_size, universal_threshold
+from .core import ChangepointConfig, TimeSeries, check_settings, universal_threshold
 from .cusum import max_cusum_from_sums
 
 
@@ -40,13 +40,6 @@ def split_recursively(
     return ChangepointConfig.from_times(found, len(series))
 
 
-def check_binseg(threshold: float | None, min_len: int) -> None:
-    """Raise ValueError unless :func:`binary_segmentation` accepts these settings."""
-    if threshold is not None and not threshold >= 0:  # rejects NaN; inf finds nothing
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
-    check_size("min_len", min_len, 2)
-
-
 def binary_segmentation(
     series: TimeSeries,
     threshold: float | None = None,
@@ -60,7 +53,7 @@ def binary_segmentation(
     recursion continues on both halves and stops on segments shorter than
     ``min_len`` or with no split above the threshold.
     """
-    check_binseg(threshold, min_len)
+    check_settings(threshold=threshold, min_len=min_len)
     if threshold is None:
         threshold = universal_threshold(series, c)
     return split_recursively(series, threshold, min_len)

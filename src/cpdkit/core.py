@@ -141,16 +141,14 @@ Seed = int
 
 def gen_null(length: int, seed: Seed) -> TimeSeries:
     """Generate ``length`` independent standard normal observations."""
-    if length < 2:
-        raise ValueError(f"length must be at least 2, got {length}")
+    check_settings(length=length)
     rng = np.random.default_rng(seed)
     return TimeSeries(rng.standard_normal(length))
 
 
 def check_teeth(length: int, period: int, amplitude: float, sigma: float) -> None:
     """Raise ValueError unless :func:`gen_teeth` accepts these settings."""
-    if period < 2:
-        raise ValueError(f"period must be at least 2, got {period}")
+    check_settings(period=period, length=length)
     if length < 2 * period:
         raise ValueError(f"length must be at least 2*period={2 * period}, got {length}")
     if not math.isfinite(amplitude):
@@ -201,25 +199,58 @@ def threshold_level(c: float, n_obs: int, sigma_hat: float) -> float:
     return c * math.sqrt(2.0 * math.log(n_obs)) * sigma_hat
 
 
-def check_size(name: str, value, least: int) -> None:
-    """Raise ValueError, naming the parameter, unless ``value`` is an integer
-    (a bool is not) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        bound = "non-negative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
+def _non_negative_finite(value) -> bool:
+    return 0 <= value < math.inf
 
 
-def check_threshold_c(c: float) -> None:
-    """Raise ValueError unless :func:`universal_threshold` accepts ``c``."""
-    if not 0 <= c < math.inf:
-        raise ValueError(f"threshold constant c must be non-negative and finite, got {c}")
+# The one rule of each detector, search, generator and study setting, by the
+# name every signature gives it. An integer is the least value of an integer
+# setting (an int or a numpy integer, not a bool); a pair is a real setting's
+# test and the message a value failing it raises.
+SETTING_RULES = {
+    "m_intervals": 0,
+    "min_span": 1,
+    "m_stage": 1,
+    "min_len": 2,
+    "min_seg": 2,
+    "m_max": 0,
+    "population": 1,
+    "generations": 0,
+    "length": 2,
+    "period": 2,
+    "n_reps": 1,
+    "n_jobs": 1,
+    "c": (_non_negative_finite, "threshold constant c must be non-negative and finite"),
+    "lam": (_non_negative_finite, "lam must be non-negative and finite"),
+    "sigma_hat": (_non_negative_finite, "sigma_hat must be non-negative and finite"),
+    "floor_mult": (lambda v: 0.0 < v <= 1.0, "floor_mult must be in (0, 1]"),
+    # rejects NaN; an infinite threshold finds nothing
+    "threshold": (lambda v: v is None or v >= 0, "threshold must be non-negative"),
+}
+
+
+def check_settings(**settings) -> None:
+    """Raise ValueError, naming the setting, unless each keyword keeps its
+    rule in :data:`SETTING_RULES`; checked in keyword order. ``c`` is not
+    checked where a ``threshold`` is given, which replaces it."""
+    for name, value in settings.items():
+        rule = SETTING_RULES[name]
+        if name == "c" and settings.get("threshold") is not None:
+            continue
+        if isinstance(rule, tuple):
+            test, message = rule
+            if not test(value):
+                raise ValueError(f"{message}, got {value}")
+        elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        elif value < rule:
+            bound = "non-negative" if rule == 0 else f"at least {rule}"
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
     """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
-    check_threshold_c(c)
+    check_settings(c=c)
     return threshold_level(c, len(series), series.sigma_hat)
 
 

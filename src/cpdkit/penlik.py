@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangepointConfig, Seed, TimeSeries, check_size
+from .core import ChangepointConfig, Seed, TimeSeries, check_settings
 from .wbs2 import SortedCandidateList
 
 M_MAX_CAP = 25
@@ -110,11 +110,6 @@ def _cost_rows(s: np.ndarray, ss: np.ndarray, lo: int, hi: int, min_seg: int) ->
     return cost
 
 
-def check_min_seg(min_seg: int) -> None:
-    """Raise ValueError unless the penalized searches accept ``min_seg``."""
-    check_size("min_seg", min_seg, 2)
-
-
 def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTable:
     """Exact minimal-RSS configurations for every count m = 0..m_max.
 
@@ -139,8 +134,7 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     select_mbic on it share one DP.
     """
     n = len(series)
-    check_size("m_max", m_max, 0)
-    check_min_seg(min_seg)
+    check_settings(m_max=m_max, min_seg=min_seg)
     if (m_max + 1) * min_seg > n:
         raise ValueError(
             f"infeasible: {m_max + 1} segments of length >= {min_seg} need "
@@ -226,7 +220,7 @@ class _Objective:
     def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
         if penalty_name not in PENALTIES:
             raise ValueError(f"unknown penalty {penalty_name!r}, expected one of {PENALTIES}")
-        check_min_seg(min_seg)
+        check_settings(min_seg=min_seg)
         self.n = len(series)
         self.log_n = math.log(self.n)
         self.penalty_name = penalty_name
@@ -339,15 +333,6 @@ class _Objective:
         )
 
 
-def evaluate_fit(series: TimeSeries, config: ChangepointConfig, penalty_name: str) -> PenalizedFit:
-    """Objective and RSS of a given configuration (no optimization)."""
-    if config.series_length != len(series):
-        raise ValueError(
-            f"configuration is for length {config.series_length}, series has {len(series)}"
-        )
-    return _Objective(series, penalty_name).fit(config.times)
-
-
 def _select_penalized(series: TimeSeries, penalty_name: str, min_seg: int) -> PenalizedFit:
     n = len(series)
     if n < 6:
@@ -400,8 +385,7 @@ class GaParams:
     generations: int = 200
 
     def __post_init__(self):
-        check_size("population", self.population, 1)
-        check_size("generations", self.generations, 0)
+        check_settings(population=self.population, generations=self.generations)
 
 
 def _crossover_cut(rng: np.random.Generator, n_bits: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .binseg import split_recursively
-from .core import ChangepointConfig, Seed, TimeSeries, check_size, universal_threshold
+from .core import ChangepointConfig, Seed, TimeSeries, check_settings, universal_threshold
 from .cusum import batch_max_cusum
 
 
@@ -34,12 +34,6 @@ def sample_interval_pairs(
     return starts, ends
 
 
-def check_wbs(m_intervals: int, min_span: int) -> None:
-    """Raise ValueError unless :func:`wbs_detect` accepts these sizes."""
-    check_size("m_intervals", m_intervals, 0)
-    check_size("min_span", min_span, 1)
-
-
 def wbs_detect(
     series: TimeSeries,
     m_intervals: int = 5000,
@@ -54,7 +48,7 @@ def wbs_detect(
     segment compete with the segment itself. With ``m_intervals=0`` this is
     plain binary segmentation at the same threshold.
     """
-    check_wbs(m_intervals, min_span)
+    check_settings(m_intervals=m_intervals, min_span=min_span)
     threshold = universal_threshold(series, c)
     intervals = None
     if m_intervals > 0:

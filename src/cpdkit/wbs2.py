@@ -11,12 +11,11 @@ before the drop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChangepointConfig, Seed, TimeSeries, check_size, threshold_level
+from .core import ChangepointConfig, Seed, TimeSeries, check_settings, threshold_level
 from .cusum import batch_max_cusum
 from .wbs import sample_interval_pairs
 
@@ -85,7 +84,7 @@ def wbs2_candidates(
     exhaustive subtree draws nothing, the stack finishes it before anything
     else, and an interval's result does not depend on its batch.
     """
-    check_size("m_stage", m_stage, 1)
+    check_settings(m_stage=m_stage)
     rng = np.random.default_rng(seed)
     p, dust = series.prefix_sums, series.magnitude_floor
 
@@ -124,14 +123,6 @@ def wbs2_candidates(
     return SortedCandidateList(entries=tuple(ordered), series_length=len(series))
 
 
-def check_sdll(lam: float, floor_mult: float) -> None:
-    """Raise ValueError unless :func:`sdll_select` accepts these constants."""
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be non-negative and finite, got {lam}")
-    if not 0.0 < floor_mult <= 1.0:
-        raise ValueError(f"floor_mult must be in (0, 1], got {floor_mult}")
-
-
 def sdll_select(
     candidates: SortedCandidateList,
     sigma_hat: float,
@@ -148,9 +139,7 @@ def sdll_select(
     last scanned entry; ties go to the smallest count. ``floor_mult=1.0``
     searches only above the gate itself.
     """
-    if not 0 <= sigma_hat < math.inf:
-        raise ValueError(f"sigma_hat must be non-negative and finite, got {sigma_hat}")
-    check_sdll(lam, floor_mult)
+    check_settings(sigma_hat=sigma_hat, lam=lam, floor_mult=floor_mult)
     n_obs = candidates.series_length
     zeta = threshold_level(lam, n_obs, sigma_hat)
     mags = candidates.magnitudes()
@@ -171,12 +160,6 @@ def sdll_select(
     return ChangepointConfig.from_times(times, n_obs)
 
 
-def check_wbs2_sdll(m_stage: int, lam: float, floor_mult: float) -> None:
-    """Raise ValueError unless :func:`wbs2_sdll_detect` accepts these settings."""
-    check_size("m_stage", m_stage, 1)
-    check_sdll(lam, floor_mult)
-
-
 def wbs2_sdll_detect(
     series: TimeSeries,
     m_stage: int = 100,
@@ -186,6 +169,7 @@ def wbs2_sdll_detect(
 ) -> ChangepointConfig:
     """Full detector: ranked candidates, then steepest-drop selection with the
     robust noise scale."""
-    check_wbs2_sdll(m_stage, lam, floor_mult)  # before the candidate list, the costly part
+    # before the candidate list, the costly part
+    check_settings(m_stage=m_stage, lam=lam, floor_mult=floor_mult)
     candidates = wbs2_candidates(series, m_stage, seed)
     return sdll_select(candidates, series.sigma_hat, lam, floor_mult)

@@ -15,6 +15,7 @@ import pytest
 
 from cpdkit import (
     ChangepointConfig,
+    TeethSpec,
     TimeSeries,
     binary_segmentation,
     config_distance,
@@ -22,6 +23,7 @@ from cpdkit import (
     gen_teeth,
     max_cusum,
     run_null_study,
+    run_signal_study,
     sdll_select,
     segment_rss_table,
     select_bic,
@@ -274,3 +276,29 @@ def test_criterion_7_property_suite():
 
     print("\nACCEPTANCE 7: PASS - distance axioms, threshold monotonicity, "
           "RSS monotonicity, SDLL scale consistency, report invariant")
+
+
+def test_criterion_8_frequent_changepoints():
+    # the paper's regime: 49 changes at T=500 (period 10) and 66 at T=2000
+    # (period 30), 20 replications each at master seed 7. Recorded average
+    # distances: WBS2-SDLL 0.065 and 0.054, WBS 1.264 and 0.055, binseg 45.25
+    # and 0.614. bic and mbic get bands once their search reaches more than
+    # 25 changepoints.
+    methods = ["wbs2-sdll", "wbs", "binseg"]
+    dense, wide = (
+        {row.method: row.avg_distance
+         for row in run_signal_study(TeethSpec(length, period=period), methods, 20, 7).rows}
+        for length, period in ((500, 10), (2000, 30))
+    )
+    assert dense["wbs2-sdll"] <= 0.25, f"WBS2-SDLL at T=500, period 10: {dense}"
+    assert dense["wbs"] <= 2.5, f"WBS at T=500, period 10: {dense}"
+    assert dense["binseg"] >= 25.0, f"binseg at T=500, period 10: {dense}"
+    assert dense["wbs2-sdll"] < dense["wbs"] < dense["binseg"], "ordering at T=500"
+    assert wide["wbs2-sdll"] <= 0.25, f"WBS2-SDLL at T=2000, period 30: {wide}"
+    assert wide["wbs"] <= 0.25, f"WBS at T=2000, period 30: {wide}"
+    assert wide["binseg"] <= 1.5, f"binseg at T=2000, period 30: {wide}"
+
+    print("\nACCEPTANCE 8: PASS - frequent changepoints: distance at T=500/2000 "
+          f"WBS2-SDLL {dense['wbs2-sdll']:.3f}/{wide['wbs2-sdll']:.3f}, "
+          f"WBS {dense['wbs']:.3f}/{wide['wbs']:.3f}, "
+          f"binseg {dense['binseg']:.3f}/{wide['binseg']:.3f}")

@@ -22,7 +22,6 @@ from cpdkit.bench import (
     format_table,
     method_seed,
     run_method,
-    write_csv,
 )
 
 
@@ -147,6 +146,26 @@ class TestRunNullStudy:
         for method, params in good:
             check_study([method], [50], 2, 1, {method: params})
 
+    def test_rejects_study_sizes_that_are_not_integers(self):
+        # n_reps True once ran one replication and wrote "True" as its n_reps;
+        # n_reps 2.5 and a length of 50.5 or 12.0 failed in range or numpy
+        # with a TypeError naming no parameter; n_jobs 1.5 and True ran
+        # serially without a word
+        spec = TeethSpec(length=60)
+        with mock.patch.object(bench, "_replicate", side_effect=AssertionError("ran")):
+            for n_reps, message in ((True, "an integer"), (2.5, "an integer"), (0, "at least 1")):
+                with pytest.raises(ValueError, match=f"^n_reps must be {message}"):
+                    run_null_study(["binseg"], [50], n_reps, 1)
+                with pytest.raises(ValueError, match=f"^n_reps must be {message}"):
+                    run_signal_study(spec, ["binseg"], n_reps, 1)
+            for n_jobs in (1.5, True):
+                with pytest.raises(ValueError, match="^n_jobs must be an integer"):
+                    run_null_study(["binseg"], [50], 2, 1, n_jobs=n_jobs)
+            for length in (50.5, 12.0, True):
+                with pytest.raises(ValueError, match="^length must be an integer"):
+                    run_null_study(["binseg"], [length], 2, 1)
+        check_study(["binseg"], [np.int64(50)], np.int32(2), np.int64(1))
+
     def test_rejects_repeated_methods_and_lengths(self):
         # a repeated method or length once reran the same seeds and reported
         # identical rows
@@ -260,6 +279,7 @@ class TestRunSignalStudy:
 
     @pytest.mark.parametrize("length, period, sigma", [
         (30, 20, 0.3), (60, 1, 0.3), (60, 20, -1.0), (60, 20, math.nan), (60, 20, math.inf),
+        (60.5, 20, 0.3), (60, 10.0, 0.3),
     ])
     def test_spec_rejects_what_the_generator_rejects(self, length, period, sigma):
         with pytest.raises(ValueError) as generator_error:
@@ -284,10 +304,40 @@ class TestReportOutput:
         assert "T=50 FP" in table and "T=60 Dist" in table
         assert "binseg" in table and "wbs" in table
 
-    def test_csv_round(self, tmp_path):
+    def test_csv_round(self):
         report = run_null_study(["binseg"], [50], 5, 2)
-        out = tmp_path / "r.csv"
-        write_csv(report, out)
-        lines = out.read_text().strip().splitlines()
+        lines = bench._csv_text(report).strip().splitlines()
         assert lines[0] == "method,series_length,n_reps,false_positive_rate,avg_distance"
         assert lines[1].startswith("binseg,50,5,")
+
+
+# a value each setting of a detector rejects
+BAD_SETTINGS = {
+    "m_intervals": -1, "min_span": 0, "m_stage": 0, "min_len": 1, "min_seg": 1,
+    "c": math.nan, "lam": -1.0, "floor_mult": 0.0, "threshold": math.nan,
+}
+DETECTOR_SETTINGS = [(method, name) for method, signature in bench._SIGNATURES.items()
+                     for name in signature.parameters if name not in ("series", "seed")]
+
+
+def test_every_setting_has_one_rule():
+    # the detectors' settings, and those the searches, the generators and the
+    # study check, are the table's names and no more
+    others = {"m_max", "population", "generations", "sigma_hat", "length", "period",
+              "n_reps", "n_jobs"}
+    names = {name for _, name in DETECTOR_SETTINGS}
+    assert not names & others
+    assert set(core.SETTING_RULES) == names | others
+    assert set(BAD_SETTINGS) == names
+
+
+@pytest.mark.parametrize("method, name", DETECTOR_SETTINGS,
+                         ids=[f"{method}-{name}" for method, name in DETECTOR_SETTINGS])
+def test_a_bad_setting_fails_alike_in_detector_and_study(method, name):
+    with pytest.raises(ValueError) as detector_error:
+        bench.METHODS[method](gen_null(50, 1), **{name: BAD_SETTINGS[name]})
+    with mock.patch.object(bench, "_replicate", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError) as study_error:
+            run_null_study([method], [50], 2, 1, {method: {name: BAD_SETTINGS[name]}})
+    assert str(study_error.value) == str(detector_error.value)
+    assert re.search(rf"\b{name} must be", str(detector_error.value))

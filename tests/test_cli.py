@@ -8,7 +8,14 @@ import pytest
 
 import cpdkit.core
 import cpdkit.penlik
-from cpdkit import TimeSeries, bench, binary_segmentation, gen_teeth
+from cpdkit import (
+    ChangepointConfig,
+    TimeSeries,
+    bench,
+    binary_segmentation,
+    config_distance,
+    gen_teeth,
+)
 from cpdkit.cli import _method_params, build_parser, main
 
 
@@ -275,6 +282,48 @@ class TestRoundTrip:
         cps.write_text("\n".join(str(t) for t in result["changepoints"]) + "\n")
         assert main(["distance", str(cps), str(cps), "--length", str(result["n_obs"])]) == 0
         assert "distance: 0.000000" in capsys.readouterr().out
+
+    def test_detect_then_distance_gives_config_distance(self, tmp_path, capsys):
+        # noisy teeth, so the methods miss or move some changes
+        series, truth = gen_teeth(200, 20, 1.0, 0.6, seed=3)
+        src, truth_file = tmp_path / "teeth.csv", tmp_path / "truth.txt"
+        src.write_text("".join(f"{v!r}\n" for v in series.values.tolist()))
+        truth_file.write_text("".join(f"{t}\n" for t in truth.times))
+        distances = set()
+        for method in bench.VALID_METHODS:
+            out = tmp_path / f"{method}.json"
+            assert main(["detect", str(src), "--method", method, "--out", str(out)]) == 0
+            times = json.loads(out.read_text())["changepoints"]
+            cps = tmp_path / f"{method}.txt"
+            cps.write_text("".join(f"{t}\n" for t in times))
+            capsys.readouterr()
+            assert main(["distance", str(truth_file), str(cps), "--length", "200"]) == 0
+            expected = config_distance(truth, ChangepointConfig.from_times(times, 200))
+            assert f"distance: {expected:.6f}\n" in capsys.readouterr().out, method
+            distances.add(expected)
+        assert len(distances) > 1  # not every method recovers the truth
+
+    def test_bench_csv_parses_back_to_the_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["bench", "--methods", "binseg", "wbs", "--lengths", "60", "80",
+                     "--reps", "8", "--seed", "3", "--signal", "--teeth-length", "100",
+                     "--teeth-sigma", "0.6", "--out", str(out)]) == 0
+        reports = {
+            "null": bench.run_null_study(["binseg", "wbs"], [60, 80], 8, 3),
+            "signal": bench.run_signal_study(
+                bench.TeethSpec(100, sigma=0.6), ["binseg", "wbs"], 8, 3),
+        }
+        for study, report in reports.items():
+            lines = (out / f"{study}_results.csv").read_text().splitlines()
+            assert lines[0] == "method,series_length,n_reps,false_positive_rate,avg_distance"
+            parsed = [line.split(",") for line in lines[1:]]
+            assert len(parsed) == len(report.rows)
+            for (method, length, n_reps, fp, dist), row in zip(parsed, report.rows):
+                assert (method, int(length), int(n_reps)) == (
+                    row.method, row.series_length, row.n_reps)
+                assert float(fp) == pytest.approx(row.false_positive_rate, abs=5e-7)
+                assert float(dist) == pytest.approx(row.avg_distance, abs=5e-7)
+            assert any(0 < row.avg_distance < 8 for row in report.rows)
 
 
 class TestBench:

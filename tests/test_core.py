@@ -85,6 +85,13 @@ class TestGenNull:
         with pytest.raises(ValueError):
             gen_null(1, 0)
 
+    def test_rejects_non_integral_length(self):
+        # a float length once failed inside numpy with a TypeError naming no
+        # parameter
+        for length in (10.0, 50.5, True):
+            with pytest.raises(ValueError, match="^length must be an integer"):
+                gen_null(length, 1)
+
     def test_law_of_large_numbers(self):
         # tolerance 4/sqrt(T) on the mean, similar scale on the variance
         s = gen_null(10_000, 7)
@@ -112,6 +119,14 @@ class TestGenTeeth:
     def test_rejects_small_period(self):
         with pytest.raises(ValueError):
             gen_teeth(40, period=1)
+
+    def test_rejects_non_integral_sizes(self):
+        # a float length or period once failed inside numpy with a TypeError
+        # naming no parameter
+        with pytest.raises(ValueError, match="^length must be an integer"):
+            gen_teeth(60.5)
+        with pytest.raises(ValueError, match="^period must be an integer"):
+            gen_teeth(60, period=10.0)
 
     def test_rejects_non_finite_settings(self):
         # a NaN sigma once passed the sign check and gave a noiseless series;

@@ -21,11 +21,7 @@ from cpdkit import (
     wbs2_candidates,
 )
 from cpdkit import penlik
-from cpdkit.penlik import (
-    RssTable,
-    default_m_max,
-    evaluate_fit,
-)
+from cpdkit.penlik import RssTable, default_m_max
 from cpdkit.wbs2 import CandidateEntry, SortedCandidateList
 
 
@@ -147,7 +143,7 @@ class TestSelectBic:
         for i in range(20):
             s = gen_null(80, 700 + i)
             fit = select_bic(s)
-            again = evaluate_fit(s, fit.config, "bic")
+            again = penlik._Objective(s, "bic").fit(fit.config.times)
             assert again.objective == pytest.approx(fit.objective, abs=1e-9)
             assert again.rss == pytest.approx(fit.rss, rel=1e-9)
 
@@ -180,7 +176,7 @@ class TestSelectMbic:
         for i in range(20):
             s = gen_null(80, 800 + i)
             fit = select_mbic(s)
-            again = evaluate_fit(s, fit.config, "mbic")
+            again = penlik._Objective(s, "mbic").fit(fit.config.times)
             assert again.objective == pytest.approx(fit.objective, abs=1e-9)
 
     def test_mbic_segment_term(self):
@@ -262,8 +258,6 @@ class TestHybridRefine:
         series = gen_null(60, 1)
         with pytest.raises(ValueError, match="length 100"):
             hybrid_refine(series, _candidates_from_times((30, 80), 100), "bic")
-        with pytest.raises(ValueError, match="length 100"):
-            evaluate_fit(series, ChangepointConfig.from_times((30,), 100), "bic")
 
     def test_empty_candidates(self):
         empty = SortedCandidateList(entries=(), series_length=60)
@@ -277,7 +271,7 @@ class TestHybridRefine:
         assert fit.config.times == truth.times
         # enumeration over all subsets confirms the optimum
         best = min(
-            (evaluate_fit(series, ChangepointConfig.from_times(sub, 120), "bic").objective)
+            penlik._Objective(series, "bic").fit(sub).objective
             for r in range(len(truth.times) + 1)
             for sub in itertools.combinations(truth.times, r)
         )
@@ -462,8 +456,8 @@ def test_large_offset_leaves_penalized_fit_unchanged():
         fit, shifted_fit = select(base), select(shifted)
         assert shifted_fit.config == fit.config
         assert shifted_fit.rss == pytest.approx(fit.rss, rel=1e-9)
-        assert evaluate_fit(shifted, fit.config, name).rss == pytest.approx(
-            evaluate_fit(base, fit.config, name).rss, rel=1e-9
+        assert penlik._Objective(shifted, name).fit(fit.config.times).rss == pytest.approx(
+            penlik._Objective(base, name).fit(fit.config.times).rss, rel=1e-9
         )
 
 
@@ -478,7 +472,7 @@ def test_near_perfect_fit_gets_one_rule_on_every_path():
     for name, select in (("bic", select_bic), ("mbic", select_mbic)):
         fits = [
             select(series),
-            evaluate_fit(series, config, name),
+            penlik._Objective(series, name).fit(config.times),
             ga_optimize(series, name, seed=1),
             hybrid_refine(series, top, name),
         ]
@@ -500,7 +494,7 @@ def test_zero_rss_rule_is_scale_free():
             fit = select(series)
             assert (fit.config, fit.degenerate) == (truth, False), (scale, name)
             assert math.isfinite(fit.objective)
-            evaluated = evaluate_fit(series, truth, name)
+            evaluated = penlik._Objective(series, name).fit(truth.times)
             assert (evaluated.rss, evaluated.degenerate) == (fit.rss, False)
     # a constant series has tolerance 0 and stays a perfect fit at m = 0
     for value in (3e-9, 0.1, 1000.1):
@@ -528,7 +522,7 @@ def test_penalized_paths_reject_magnitudes_whose_squares_overflow_or_vanish(scal
         "select_mbic": lambda: select_mbic(series),
         "ga_optimize": lambda: ga_optimize(series, "bic", GaParams(4, 2)),
         "hybrid_refine": lambda: hybrid_refine(series, candidates, "mbic"),
-        "evaluate_fit": lambda: evaluate_fit(series, ChangepointConfig.empty(200), "bic"),
+        "_Objective.fit": lambda: penlik._Objective(series, "bic").fit(()),
     }
     for name, path in paths.items():
         with pytest.raises(ValueError, match="between about 1e-150 and "):
