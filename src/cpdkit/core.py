@@ -98,8 +98,7 @@ class ChangepointConfig:
 
     def __post_init__(self):
         times = tuple(int(t) for t in self.times)
-        if self.series_length < 2:
-            raise ValueError(f"series_length must be >= 2, got {self.series_length}")
+        check_settings(length=self.series_length)
         for prev, cur in zip((1,) + times, times):
             if cur <= prev:
                 raise ValueError(
@@ -148,13 +147,9 @@ def gen_null(length: int, seed: Seed) -> TimeSeries:
 
 def check_teeth(length: int, period: int, amplitude: float, sigma: float) -> None:
     """Raise ValueError unless :func:`gen_teeth` accepts these settings."""
-    check_settings(period=period, length=length)
+    check_settings(period=period, length=length, amplitude=amplitude, sigma=sigma)
     if length < 2 * period:
         raise ValueError(f"length must be at least 2*period={2 * period}, got {length}")
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
 
 
 def gen_teeth(
@@ -220,6 +215,8 @@ SETTING_RULES = {
     "period": 2,
     "n_reps": 1,
     "n_jobs": 1,
+    "amplitude": (math.isfinite, "amplitude must be finite"),
+    "sigma": (_non_negative_finite, "sigma must be non-negative and finite"),
     "c": (_non_negative_finite, "threshold constant c must be non-negative and finite"),
     "lam": (_non_negative_finite, "lam must be non-negative and finite"),
     "sigma_hat": (_non_negative_finite, "sigma_hat must be non-negative and finite"),

@@ -23,6 +23,7 @@ constant series (null RSS 0) is a perfect fit at m = 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -209,12 +210,10 @@ def default_m_max(n_obs: int, min_seg: int = 2) -> int:
 
 class _Objective:
     """BIC or mBIC of changepoint times on one series, with the zero-RSS
-    tolerance every penalized path shares.
-
-    For search, ``key`` scores infeasible times (a segment shorter than
-    min_seg, or more than m_max changepoints) +inf and ranks perfect fits by
-    parsimony through the (objective, count) key; ``keys`` gives the same
-    key for each row of a 0/1 population whose bit i stands for time i + 2.
+    tolerance every penalized path shares. ``keys``, ``key_and_rss`` and
+    ``fit`` sum segment costs in one place, :meth:`_pass`. A search key is
+    (objective, count): infeasible times (a segment shorter than min_seg, or
+    more than m_max changepoints) score +inf, and perfect fits rank by parsimony.
     """
 
     def __init__(self, series: TimeSeries, penalty_name: str, min_seg: int = 2):
@@ -227,16 +226,9 @@ class _Objective:
         self.min_seg = min_seg
         self.m_max = default_m_max(self.n, min_seg)
         self.s, self.ss = series.centered_moments
-        self.zero_tol = _ZERO_RSS_RTOL * self._rss(self._bounds(()))
+        self.zero_tol = _ZERO_RSS_RTOL * float(_segment_cost(self.s, self.ss, 0, self.n))
         if penalty_name == "mbic":  # ln(l / T), the mBIC term of a segment of length l
             self.log_rel_len = functools.cache(lambda l, n=self.n: math.log(l / n))
-
-    def _bounds(self, times) -> np.ndarray:
-        """Prefix indices 0, t_1 - 1, ..., t_m - 1, T delimiting the segments."""
-        return np.subtract((1, *times, self.n + 1), 1)
-
-    def _rss(self, bounds: np.ndarray) -> float:
-        return float(np.sum(_segment_cost(self.s, self.ss, bounds[:-1], bounds[1:])))
 
     def value(self, rss, log_sum, count, log=math.log):
         """The objective of ``count`` changepoints at RSS ``rss``, with no
@@ -258,72 +250,63 @@ class _Objective:
                    if self.penalty_name == "mbic" else 0.0)
         return self.value(rss, log_sum, len(segment_lengths) - 1)
 
+    def _pass(self, t: np.ndarray, counts: list[int]) -> tuple[list, list]:
+        """The key and RSS of each row of changepoint times inside the series:
+        ``t`` holds the prefix index ending each segment, row after row, and
+        ``counts`` the rows' counts in increasing order. All segments are
+        costed at once, and each count's rows are one (rows, m + 1) block
+        summed along its rows, to the bits of each row's ``np.sum`` alone."""
+        u = np.append(0, t)[:-1]  # the prefix index starting each segment
+        u[u == self.n] = 0  # a row starts where the row before it ends, at T
+        cost = _segment_cost(self.s, self.ss, u, t)
+        lengths = (t - u).tolist()
+        keys, rss, start = [], [], 0
+        for m, group in itertools.groupby(counts):
+            n_rows = len(list(group))
+            stop = start + n_rows * (m + 1)
+            block = np.sum(cost[start:stop].reshape(n_rows, m + 1), axis=1).tolist()
+            for a, rss_j in zip(range(start, stop, m + 1), block):
+                row = lengths[a : a + m + 1]
+                feasible = m <= self.m_max and min(row) >= self.min_seg
+                keys.append((self.score(rss_j, row) if feasible else math.inf, m))
+            rss += block
+            start = stop
+        return keys, rss
+
+    def key_and_rss(self, times) -> tuple[tuple[float, int], float]:
+        """The key of one set of times and its RSS, by a one-row pass.
+        Infeasible times, among them any outside 2..T or out of order, are
+        (inf, count) with RSS nan, and are not costed."""
+        edges = (1, *times, self.n + 1)  # each segment's first time, and T + 1
+        if len(times) > self.m_max or any(b - a < self.min_seg for a, b in zip(edges, edges[1:])):
+            return (math.inf, len(times)), math.nan
+        (key,), (rss,) = self._pass(np.subtract(edges[1:], 1), [len(times)])
+        return key, rss
+
     def key(self, times) -> tuple[float, int]:
-        if len(times) > self.m_max:
-            return (math.inf, len(times))
-        return self._block_keys(self._bounds(times)[None])[0]
+        return self.key_and_rss(times)[0]
 
     def keys(self, population: np.ndarray) -> list[tuple[float, int]]:
-        """The key of each 0/1 row (bit i: time i + 2); a row above m_max is
-        (inf, count) unscored.
-
-        The other rows are stably sorted by count and their segments laid out
-        flat, row after row, for one cost pass over them all. Each count's
-        rows are then one contiguous (rows, m + 1) block, summed along its
-        rows as in :meth:`_block_keys`, so a key is the key of its row alone.
+        """The key of each 0/1 row (bit i: time i + 2). A row above m_max is
+        (inf, count) uncosted; the others are stably sorted by count and
+        their segments laid out flat, row after row, for one :meth:`_pass`.
         """
         counts = population.sum(axis=1)
         keys = [(math.inf, m) for m in counts.tolist()]
         rows = np.flatnonzero(counts <= self.m_max)
-        if not rows.size:
-            return keys
         rows = rows[np.argsort(counts[rows], kind="stable")]
-        ends = np.cumsum(counts[rows] + 1)  # one past each row's last segment
-        t = np.full(ends[-1], self.n)  # the prefix index ending each segment
-        inner = np.ones(t.size, dtype=bool)
-        inner[ends - 1] = False
-        t[inner] = np.nonzero(population[rows])[1] + 1
-        u = np.empty_like(t)  # the prefix index starting each segment
-        u[1:] = t[:-1]
-        u[0] = u[ends[:-1]] = 0
-        cost = _segment_cost(self.s, self.ss, u, t)
-        lengths = t - u
-        start = 0
-        for m, n_rows in zip(*np.unique(counts[rows], return_counts=True)):
-            m, n_rows = int(m), int(n_rows)
-            stop = start + n_rows * (m + 1)
-            block = lengths[start:stop].reshape(n_rows, m + 1)
-            ok = block.min(axis=1) >= self.min_seg
-            rss = np.sum(cost[start:stop].reshape(n_rows, m + 1), axis=1)
-            for j, rss_j, lengths_j in zip(rows[: n_rows][ok].tolist(), rss[ok].tolist(),
-                                           block[ok].tolist()):
-                keys[j] = (self.score(rss_j, lengths_j), m)
-            rows, start = rows[n_rows:], stop
-        return keys
-
-    def _block_keys(self, bounds: np.ndarray) -> list[tuple[float, int]]:
-        """The key of each row of a C-contiguous block of bounds, one count.
-
-        The block's row sums equal the ``np.sum`` of each row alone bit for
-        bit, and :meth:`score` takes each log term from one cache of
-        ``math.log`` values, so a key does not depend on the block it is scored in.
-        """
-        m = bounds.shape[1] - 2
-        keys = [(math.inf, m)] * len(bounds)
-        lengths = np.diff(bounds, axis=1)
-        ok = lengths.min(axis=1) >= self.min_seg
-        bounds = bounds[ok]
-        rss = np.sum(_segment_cost(self.s, self.ss, bounds[:, :-1], bounds[:, 1:]), axis=1)
-        for j, rss_j, lengths_j in zip(np.flatnonzero(ok).tolist(), rss.tolist(),
-                                       lengths[ok].tolist()):
-            keys[j] = (self.score(rss_j, lengths_j), m)
+        bits = np.ones((rows.size, population.shape[1] + 1), dtype=np.int8)
+        bits[:, :-1] = population[rows]  # and a last bit for time T + 1, ending each row
+        t = np.nonzero(bits)[1] + 1  # the prefix index ending each segment
+        for j, key in zip(rows.tolist(), self._pass(t, counts[rows].tolist())[0]):
+            keys[j] = key
         return keys
 
     def fit(self, times, rss: float | None = None) -> PenalizedFit:
         """The fit of the given times; ``rss`` passes an RSS already known."""
         config = ChangepointConfig.from_times(times, self.n)
         if rss is None:
-            rss = self._rss(self._bounds(config.times))
+            rss = self._pass(np.subtract((*config.times, self.n + 1), 1), [config.count])[1][0]
         return PenalizedFit(
             config=config,
             objective=self.score(rss, config.segment_lengths()),
@@ -511,7 +494,8 @@ def hybrid_refine(
     above. A subset is rescored exactly when its value from running sums is
     within a slack of 1e-9 (T + |null objective|) of the best known, far above
     the rounding, or its RSS may be a perfect fit, so the fit is the one that
-    scoring every subset on its own gives.
+    scoring every subset on its own gives. The final fit takes the RSS of the
+    subset that set the best key, so no subset is costed twice.
 
     ``seed`` and ``ga_params`` are unused, kept for callers that pass them.
     """
@@ -525,9 +509,11 @@ def hybrid_refine(
     pool = pool[(pool >= 2) & (pool <= n)]  # any other time makes a subset infeasible
     k = pool.size
     m_max = min(k, objective.m_max)  # no feasible subset has more changepoints
-    best_times, best_key = (), objective.key(())
-    if m_max < 1 or best_key[0] == -math.inf:
-        return objective.fit(best_times)
+    if m_max < 1:
+        return objective.fit(())  # no candidate, or no room for one changepoint
+    best_times, (best_key, best_rss) = (), objective.key_and_rss(())
+    if best_key[0] == -math.inf:
+        return objective.fit(best_times, best_rss)
     bounds = np.concatenate(([0], pool - 1, [n]))  # prefix index of each boundary
     u, t = bounds[:, None], bounds[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -564,7 +550,7 @@ def hybrid_refine(
     upper = float(np.min(least[rest_rss[:, 0] > degenerate_tol])) + slack
 
     def visit(a: int, rss: float, log_sum: float, times: tuple[int, ...]) -> None:
-        nonlocal best_times, best_key
+        nonlocal best_times, best_key, best_rss
         m = len(times) + 1  # the count of every child
         b = np.arange(a + 1, k + 1)
         child_rss, child_log = rss + cost[a, b], log_sum + log_len[a, b]
@@ -580,10 +566,10 @@ def hybrid_refine(
             limit = min(upper, best_key[0]) + slack
             if reach[j] <= limit:
                 child = (*times, int(pool[a + j]))
-                if bound[0, j] <= limit and (key := objective.key(child)) < best_key:
-                    best_times, best_key = child, key
+                if bound[0, j] <= limit and (scored := objective.key_and_rss(child))[0] < best_key:
+                    best_times, (best_key, best_rss) = child, scored
                 if m < m_max:
                     visit(a + 1 + j, child_rss[j], child_log[j], child)
 
     visit(0, 0.0, 0.0, ())
-    return objective.fit(best_times)
+    return objective.fit(best_times, best_rss)

@@ -18,8 +18,9 @@ def sample_interval_pairs(
     Sampling is by exact index inversion over the triangular pair count, so
     every feasible pair has identical probability.
     """
+    check_settings(min_span=min_span)
     max_start = n_obs - min_span
-    if min_span < 1 or max_start < 1:
+    if max_start < 1:
         raise ValueError(
             f"no feasible intervals for n_obs={n_obs}, min_span={min_span}"
         )

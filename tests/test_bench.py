@@ -324,7 +324,7 @@ def test_every_setting_has_one_rule():
     # the detectors' settings, and those the searches, the generators and the
     # study check, are the table's names and no more
     others = {"m_max", "population", "generations", "sigma_hat", "length", "period",
-              "n_reps", "n_jobs"}
+              "amplitude", "sigma", "n_reps", "n_jobs"}
     names = {name for _, name in DETECTOR_SETTINGS}
     assert not names & others
     assert set(core.SETTING_RULES) == names | others

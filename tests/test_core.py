@@ -68,6 +68,17 @@ class TestChangepointConfig:
         cfg = ChangepointConfig(times=(4, 8), series_length=10)
         assert cfg.segment_bounds() == [(1, 3), (4, 7), (8, 10)]
 
+    def test_rejects_non_integral_length(self):
+        # a length of 10.5 once constructed, and config_distance of (3,)
+        # against (4,) at that length returned 1/10.5
+        for length in (10.5, 12.0):
+            with pytest.raises(ValueError, match="^length must be an integer"):
+                ChangepointConfig.empty(length)
+            with pytest.raises(ValueError, match="^length must be an integer"):
+                ChangepointConfig(times=(3,), series_length=length)
+        with pytest.raises(ValueError, match="^length must be at least 2"):
+            ChangepointConfig.empty(1)
+
 
 class TestGenNull:
     def test_length_contract(self):

@@ -704,6 +704,46 @@ def test_exhaustive_refine_skips_times_outside_the_series():
         assert fit.config == truth
 
 
+def test_key_scores_times_outside_the_series_without_costing_them():
+    # a time outside 2..T, a repeat or a time out of order makes a set
+    # infeasible; its key must come without indexing past the series and
+    # without a 0/0 (RuntimeWarning is an error in this suite)
+    objective = penlik._Objective(gen_null(60, 3), "mbic")
+    for times in ((0,), (-5,), (1,), (2,), (60,), (61,), (70,), (20, 61), (20, 20), (40, 20)):
+        assert objective.key(times) == (math.inf, len(times)), times
+        assert math.isnan(objective.key_and_rss(times)[1])
+    assert all(math.isfinite(objective.key(times)[0]) for times in ((3,), (59,), (20, 40)))
+
+
+def test_hybrid_costs_no_subset_twice():
+    # the final fit takes the RSS of the subset that set the best key, so
+    # each set of times is costed once
+    series, truth = gen_teeth(120, 20, 2.0, 0.1, seed=21)
+    cands = _candidates_from_times(tuple(sorted(set(truth.times) | {9, 52, 75})), 120)
+    costed = []
+    one_pass = penlik._Objective._pass
+
+    def recording(self, t, counts):
+        costed.append(tuple(t.tolist()))
+        return one_pass(self, t, counts)
+
+    for name in ("bic", "mbic"):
+        costed.clear()
+        with mock.patch.object(penlik._Objective, "_pass", recording):
+            fit = hybrid_refine(series, cands, name)
+        assert fit.config == truth
+        assert len(costed) == len(set(costed)) > 1
+        assert fit == hybrid_refine(series, cands, name)
+
+
+def test_hybrid_null_fit_on_a_series_shorter_than_min_seg():
+    # no segment can be min_seg long: the null fit is returned, with its RSS
+    series = TimeSeries([0.0, 1.0, 3.0])
+    fit = hybrid_refine(series, _candidates_from_times((2,), 3), "bic", min_seg=5)
+    assert fit == penlik._Objective(series, "bic", 5).fit(())
+    assert fit.config.times == () and math.isfinite(fit.rss) and math.isfinite(fit.objective)
+
+
 def _pinned_ga_fit(case):
     if case == "ga-null-bic":
         return ga_optimize(gen_null(60, 3787), "bic", seed=4787)
@@ -782,6 +822,11 @@ def test_penalized_paths_reject_min_seg_below_two(min_seg):
             call()
 
 
+def _rss(objective, bounds):
+    """The RSS of the segments between the prefix indices ``bounds``, by a 1-D np.sum."""
+    return float(np.sum(penlik._segment_cost(objective.s, objective.ss, bounds[:-1], bounds[1:])))
+
+
 @pytest.mark.parametrize("name", ("bic", "mbic"))
 def test_array_value_agrees_with_score(name):
     # the branch and bound evaluates the key's formula with np.log on running
@@ -792,7 +837,7 @@ def test_array_value_agrees_with_score(name):
         teeth, _ = gen_teeth(n, 10, 1.0, 0.5, seed=n)
         for s in (teeth, TimeSeries(1e8 + gen_null(n, n).values)):
             objective = penlik._Objective(s, name)
-            tol = 1e-12 * (n + abs(objective.score(objective._rss(objective._bounds(())), [n])))
+            tol = 1e-12 * (n + abs(objective.score(_rss(objective, np.array([0, n])), [n])))
             running, keys = [], []
             for _ in range(300):
                 m = int(rng.integers(0, objective.m_max + 1))
@@ -803,7 +848,7 @@ def test_array_value_agrees_with_score(name):
                     rss += float(penlik._segment_cost(objective.s, objective.ss, u, t))
                     log_sum += np.log((t - u) / n)
                 running.append((rss, log_sum, m))
-                keys.append(objective.score(objective._rss(bounds), lengths.tolist()))
+                keys.append(objective.score(_rss(objective, bounds), lengths.tolist()))
             rss, log_sum, count = map(np.array, zip(*running))
             values = objective.value(rss, log_sum, count, log=np.log)
             assert np.all(np.isfinite(keys))
@@ -823,7 +868,7 @@ def _one_subset_key(objective, times):
     lengths = np.diff(bounds)
     if m > objective.m_max or lengths.min() < objective.min_seg:
         return (math.inf, m)
-    return (objective.score(objective._rss(bounds), lengths.tolist()), m)
+    return (objective.score(_rss(objective, bounds), lengths.tolist()), m)
 
 
 @pytest.mark.parametrize("name, min_seg", itertools.product(("bic", "mbic"), (2, 3)))

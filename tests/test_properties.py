@@ -9,8 +9,10 @@ return the same changepoints. Shifts and other scales round, so for them
 the CUSUM detectors are pinned within the documented limits: shifts up to
 1e8 and scales from 1e-100 to 1e6. BIC and mBIC are pinned under scaling by
 2**k, |k| <= 8: the segment RSS scale by exactly 4**k, and only their log
-terms may round differently. Under a shift by 1000 they held in a probe of
-60 series, but are not pinned.
+terms may round differently. They are pinned too under shifts up to 1e8 and
+scales from 1e-100 to 1e100: their moments are taken on the centered series,
+and their zero-RSS rule is relative. The limit is the range of the centered
+moments, which raise ValueError beyond it.
 
 Reversing a series in time mirrors every split: the first b observations
 become the last b, so a CUSUM split b on [1, T] becomes T - b and a
@@ -106,6 +108,19 @@ def test_power_of_two_scaling_leaves_penalized_changepoints_unchanged(case, k):
     scaled = TimeSeries(series.values * 2.0**k)
     for method in ("bic", "mbic"):
         assert run_method(method, scaled, 0) == run_method(method, series, 0), method
+
+
+@hypothesis.settings(derandomize=True, max_examples=50, deadline=None)
+@hypothesis.given(teeth_series())
+def test_translation_and_scaling_leave_penalized_changepoints_unchanged(case):
+    series, _ = case
+    expected = {method: run_method(method, series, 0) for method in ("bic", "mbic")}
+    moved = {f"+{shift}": series.values + shift for shift in (3.7, -1e3, 1e6, 1e8)}
+    moved |= {f"*{scale}": series.values * scale
+              for scale in (3.0, 0.1, 10.0, 1e-6, 1e6, 1e-100, 1e100)}
+    for change, values in moved.items():
+        for method in ("bic", "mbic"):
+            assert run_method(method, TimeSeries(values), 0) == expected[method], (method, change)
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)

@@ -29,6 +29,13 @@ class TestDrawIntervals:
         with pytest.raises(ValueError):
             draw_pairs(5, 10, min_span=5, seed=0)
 
+    def test_rejects_min_span_by_its_rule(self):
+        # min_span 1.5 once drew interval ends such as 7.5
+        with pytest.raises(ValueError, match="^min_span must be an integer"):
+            draw_pairs(10, 5, min_span=1.5)
+        with pytest.raises(ValueError, match="^min_span must be at least 1"):
+            draw_pairs(10, 5, min_span=0)
+
     def test_respects_min_span(self):
         intervals = draw_pairs(50, 2000, min_span=7, seed=9)
         assert all(e - s >= 7 for s, e in intervals)
