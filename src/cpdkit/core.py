@@ -97,7 +97,9 @@ class ChangepointConfig:
     series_length: int
 
     def __post_init__(self):
-        times = tuple(int(t) for t in self.times)
+        if not all(map(_is_integer, self.times)):
+            raise ValueError(f"changepoint times must be integers, got {self.times!r}")
+        times = tuple(map(int, self.times))
         check_settings(length=self.series_length)
         for prev, cur in zip((1,) + times, times):
             if cur <= prev:
@@ -116,7 +118,7 @@ class ChangepointConfig:
 
     @classmethod
     def from_times(cls, times, series_length: int) -> "ChangepointConfig":
-        return cls(times=tuple(sorted(int(t) for t in times)), series_length=series_length)
+        return cls(times=tuple(sorted(times)), series_length=series_length)
 
     @property
     def count(self) -> int:
@@ -226,6 +228,11 @@ SETTING_RULES = {
 }
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_settings(**settings) -> None:
     """Raise ValueError, naming the setting, unless each keyword keeps its
     rule in :data:`SETTING_RULES`; checked in keyword order. ``c`` is not
@@ -238,7 +245,7 @@ def check_settings(**settings) -> None:
             test, message = rule
             if not test(value):
                 raise ValueError(f"{message}, got {value}")
-        elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        elif not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         elif value < rule:
             bound = "non-negative" if rule == 0 else f"at least {rule}"

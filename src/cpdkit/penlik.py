@@ -116,20 +116,21 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
 
     Segment-neighborhood dynamic programming in O(m_max * T^2) time at worst
     and O(T * _COST_BLOCK) memory: each block of cost rows (one per end time
-    t) is built once and every level advances across it before the next
-    block, which is valid because f_k[t] reads f_{k-1}[u] only for u < t. A
-    level is one add into one contiguous buffer and one argmin along each
-    row; argmin keeps the first minimum, so ties go to the smallest u. Level
-    m_max is read only at t = T, so only that row of it is computed.
+    t) is built once, and one loop computes each level k = 1..m_max on all
+    of them, valid because f_k[t] reads f_{k-1}[u] only for u < t. A level
+    is one add into one contiguous buffer and one argmin along each row;
+    argmin keeps the first minimum, so ties go to the smallest u.
 
-    Level k >= 2 reads only the columns u >= band[k]. After each block but
-    the last, band[k] advances over the leading run of columns u with
-    f_{k-1}[u] + C(u, t) > f_{k-1}[t] + slack at t = hi - min_seg, the first
-    end time whose column the next block reads. Since C(u, s) >= C(u, t) +
-    C(t, s) for u < t < s, such a u loses to t strictly at every later end
-    time and is never a first minimum, so the table is the one the full DP
-    gives (the pruning of PELT and SNIP: Killick et al. 2012, Maidstone et
-    al. 2017). Level 1 never prunes: a split never raises the RSS.
+    Level k >= 2 reads only the columns u >= band[k]. Where a later block
+    exists, the pass that computes level k then advances band[k] over the
+    leading run of columns u with f_{k-1}[u] + C(u, t) > f_{k-1}[t] + slack
+    at t = hi - min_seg, the first end time whose column the next block
+    reads. Since C(u, s) >= C(u, t) + C(t, s) for u < t < s, such a u loses
+    to t strictly at every later end time and is never a first minimum, so
+    the table is the one the full DP gives (the pruning of PELT and SNIP:
+    Killick et al. 2012, Maidstone et al. 2017). Level 1 never prunes: a
+    split never raises the RSS. No level depends on m_max, so a smaller
+    table is a prefix of a larger one, bit for bit.
 
     The series keeps the table by (m_max, min_seg): select_bic and
     select_mbic on it share one DP.
@@ -167,27 +168,18 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
         cost = _cost_rows(s, ss, lo, hi, min_seg)
         f[0, lo:hi] = cost[:, 0]  # one segment over the first t observations
         rows = np.arange(hi - lo)
-        for k in range(1, m_max):
+        t = hi - min_seg  # the first end time whose column the next block reads
+        end = t - min_seg + 1  # the columns u <= t - min_seg, which t may follow
+        for k in range(1, m_max + 1):
             b = band[k]
             w = buf[: rows.size * (hi - b)].reshape(rows.size, hi - b)
             np.add(f[k - 1, b:hi], cost[:, b:], out=w)
             back = w.argmin(axis=1)
             f[k, lo:hi] = w[rows, back]
-            back += b
-            backs[k - 1, lo:hi] = back
-        t = hi - min_seg
-        if hi > n or t < lo:
-            continue  # no later block, or no row for t in this one
-        for k in range(2, m_max + 1):
-            b, end = band[k], t - min_seg + 1  # the columns u <= t - min_seg
-            if b < end:
+            backs[k - 1, lo:hi] = back + b
+            if k >= 2 and hi <= n and lo <= t and b < end:
                 pruned = f[k - 1, b:end] + cost[t - lo, b:end] > f[k - 1, t] + slack
                 band[k] = b + (end - b if pruned.all() else int(np.argmin(pruned)))
-    if m_max:
-        b = band[m_max]
-        w = f[m_max - 1, b:] + cost[-1, b:]
-        back = int(np.argmin(w))
-        backs[m_max - 1, n], f[m_max, n] = back + b, w[back]
 
     configs: list[tuple[int, ...]] = [()]
     for m in range(1, m_max + 1):
@@ -205,7 +197,8 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
 
 
 def default_m_max(n_obs: int, min_seg: int = 2) -> int:
-    return min(n_obs // min_seg - 1, M_MAX_CAP)
+    # 0 where not even one segment fits, which segment_rss_table then reports
+    return max(min(n_obs // min_seg - 1, M_MAX_CAP), 0)
 
 
 class _Objective:
@@ -282,9 +275,6 @@ class _Objective:
             return (math.inf, len(times)), math.nan
         (key,), (rss,) = self._pass(np.subtract(edges[1:], 1), [len(times)])
         return key, rss
-
-    def key(self, times) -> tuple[float, int]:
-        return self.key_and_rss(times)[0]
 
     def keys(self, population: np.ndarray) -> list[tuple[float, int]]:
         """The key of each 0/1 row (bit i: time i + 2). A row above m_max is

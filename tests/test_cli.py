@@ -87,6 +87,15 @@ class TestDetect:
                 assert main(["detect", str(src), "--method", method, "--min-seg", value]) == 4
                 assert "min_seg must be at least 2" in capsys.readouterr().err
 
+    def test_min_seg_above_length_exit_4(self, tmp_path, capsys):
+        # --min-seg 101 on 100 points once failed with "m_max must be
+        # non-negative", a setting the caller never passed
+        src = tmp_path / "s.csv"
+        write_step_csv(src)
+        for method in ("bic", "mbic"):
+            assert main(["detect", str(src), "--method", method, "--min-seg", "101"]) == 4
+            assert "infeasible: 1 segments of length >= 101" in capsys.readouterr().err
+
     def test_unwritable_out_exit_4(self, tmp_path, capsys):
         # a missing directory or a directory as --out once ended in a
         # traceback (exit 1)

@@ -79,6 +79,17 @@ class TestChangepointConfig:
         with pytest.raises(ValueError, match="^length must be at least 2"):
             ChangepointConfig.empty(1)
 
+    def test_rejects_non_integral_times(self):
+        # (3.9,) was once truncated to (3,), so config_distance of the two
+        # was 0.0, and "7" was read as 7
+        for times in ((2.5,), (3.9, 5), ("7",), (np.float64(4.0),), (True, 5)):
+            with pytest.raises(ValueError, match="^changepoint times must be integers"):
+                ChangepointConfig(times=times, series_length=10)
+            with pytest.raises(ValueError, match="^changepoint times must be integers"):
+                ChangepointConfig.from_times(times, 10)
+        cfg = ChangepointConfig(times=(np.int64(3), 7), series_length=10)
+        assert cfg.times == (3, 7) and all(type(t) is int for t in cfg.times)
+
 
 class TestGenNull:
     def test_length_contract(self):

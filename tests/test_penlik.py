@@ -433,6 +433,23 @@ def test_pruning_keeps_a_column_one_ulp_from_a_tie(monkeypatch):
     assert segment_rss_table(series, m_max, 2) == _dense_rss_table(series, m_max, 2)
 
 
+@pytest.mark.parametrize("n", (60, 128, 129, 300, 700))
+def test_smaller_table_is_a_prefix_of_a_larger_one(n):
+    # a level's rows and its band depend only on the levels below it, so the
+    # table for m changepoints is, bit for bit, the first m + 1 rows of any
+    # larger one, across cost-block boundaries and on tied data
+    teeth, _ = gen_teeth(n, period=10, seed=n)
+    data = (gen_null(n, n).values, teeth.values, np.round(0.3 * gen_null(n, n + 1).values))
+    for values, min_seg in itertools.product(data, (2, 3)):
+        top = default_m_max(n, min_seg)
+        full = segment_rss_table(TimeSeries(values), top, min_seg)
+        for m in (0, 1, 2, top // 2, top - 1):
+            # a fresh series, so no table is read from its cache
+            table = segment_rss_table(TimeSeries(values), m, min_seg)
+            assert table.rss == full.rss[: m + 1]
+            assert table.configs == full.configs[: m + 1]
+
+
 def test_dp_memory_bounded_by_cost_block():
     # working memory is a few _COST_BLOCK x (T+1) float64 blocks, not the
     # dense (T+1)^2 cost matrix (32 MB at T=2000)
@@ -553,12 +570,12 @@ def _bit_vector_exhaustive(series, pool, penalty_name, min_seg):
     if pool.size == 0:
         return objective.fit(pool)
     best_bits = np.zeros(pool.size, dtype=np.int8)
-    best_key = objective.key(pool[best_bits.astype(bool)])
+    best_key = objective.key_and_rss(pool[best_bits.astype(bool)])[0]
     for size in range(1, pool.size + 1):
         for combo in itertools.combinations(range(pool.size), size):
             bits = np.zeros(pool.size, dtype=np.int8)
             bits[list(combo)] = 1
-            key = objective.key(pool[bits.astype(bool)])
+            key = objective.key_and_rss(pool[bits.astype(bool)])[0]
             if key < best_key:
                 best_key = key
                 best_bits = bits
@@ -602,7 +619,7 @@ def test_exhaustive_refine_matches_bit_vector_reference():
     pool = list(range(13, 22))
     for name in ("bic", "mbic"):
         objective = penlik._Objective(spike, name, 3)
-        assert objective.key((15, 18)) == objective.key((16, 19))
+        assert objective.key_and_rss((15, 18))[0] == objective.key_and_rss((16, 19))[0]
         expected = _bit_vector_exhaustive(spike, pool, name, 3)
         fit = hybrid_refine(spike, _candidates_from_times(tuple(pool), 32), name, min_seg=3)
         assert fit == expected
@@ -631,7 +648,7 @@ def test_exhaustive_refine_smallest_perfect_fit_wins():
     pool = sorted(set(truth.times) | {9, 30, 52, 75, 98, 110})
     for name, min_seg in itertools.product(("bic", "mbic"), (2, 3)):
         objective = penlik._Objective(series, name, min_seg)
-        assert objective.key(truth.times + (110,)) == (-math.inf, truth.count + 1)
+        assert objective.key_and_rss(truth.times + (110,))[0] == (-math.inf, truth.count + 1)
         fit = hybrid_refine(series, _candidates_from_times(tuple(pool), 120), name,
                             min_seg=min_seg)
         assert (fit.config, fit.objective, fit.rss, fit.degenerate) == (truth, -math.inf, 0.0, True)
@@ -710,9 +727,10 @@ def test_key_scores_times_outside_the_series_without_costing_them():
     # without a 0/0 (RuntimeWarning is an error in this suite)
     objective = penlik._Objective(gen_null(60, 3), "mbic")
     for times in ((0,), (-5,), (1,), (2,), (60,), (61,), (70,), (20, 61), (20, 20), (40, 20)):
-        assert objective.key(times) == (math.inf, len(times)), times
-        assert math.isnan(objective.key_and_rss(times)[1])
-    assert all(math.isfinite(objective.key(times)[0]) for times in ((3,), (59,), (20, 40)))
+        key, rss = objective.key_and_rss(times)
+        assert key == (math.inf, len(times)) and math.isnan(rss), times
+    assert all(math.isfinite(objective.key_and_rss(times)[0][0])
+               for times in ((3,), (59,), (20, 40)))
 
 
 def test_hybrid_costs_no_subset_twice():
@@ -742,6 +760,20 @@ def test_hybrid_null_fit_on_a_series_shorter_than_min_seg():
     fit = hybrid_refine(series, _candidates_from_times((2,), 3), "bic", min_seg=5)
     assert fit == penlik._Objective(series, "bic", 5).fit(())
     assert fit.config.times == () and math.isfinite(fit.rss) and math.isfinite(fit.objective)
+
+
+def test_min_seg_above_the_series_length_is_infeasible():
+    # min_seg 7 on 6 points once raised "m_max must be non-negative, got -1"
+    # from default_m_max's n // min_seg - 1, a setting no caller passed
+    series = gen_null(6, 1)
+    assert default_m_max(6, 7) == 0
+    for select in (select_bic, select_mbic):
+        with pytest.raises(ValueError, match=r"^infeasible: 1 segments of length >= 7 need 7 "
+                                             r"observations, series has 6$"):
+            select(series, min_seg=7)
+    null = penlik._Objective(series, "bic", 7).fit(())
+    assert ga_optimize(series, "bic", GaParams(population=4, generations=3), min_seg=7) == null
+    assert hybrid_refine(series, _candidates_from_times((3,), 6), "bic", min_seg=7) == null
 
 
 def _pinned_ga_fit(case):
@@ -901,7 +933,7 @@ def test_batched_keys_equal_one_row_keys(name, min_seg):
         assert len(batched) == len(population)
         for row, key in zip(population, batched):
             times = tuple(pool[row.astype(bool)].tolist())
-            alone = objective.key(times)
+            alone = objective.key_and_rss(times)[0]
             assert key == alone == _one_subset_key(objective, times)
             assert repr(key) == repr(alone)
             seen.add("above m_max" if len(times) > objective.m_max
@@ -918,7 +950,7 @@ def _one_child_at_a_time_ga(objective, pool, params, seed):
     size, n_bits = params.population, pool.size
 
     def key(bits):
-        return objective.key(pool[bits.astype(bool)])
+        return objective.key_and_rss(pool[bits.astype(bool)])[0]
 
     population = (rng.random((size, n_bits)) < penlik._INIT_DENSITY).astype(np.int8)
     population[0, :] = 0
