@@ -40,20 +40,13 @@ def split_recursively(
     return ChangepointConfig.from_times(found, len(series))
 
 
-def binary_segmentation(
-    series: TimeSeries,
-    threshold: float | None = None,
-    min_len: int = 2,
-    c: float = 1.3,
-) -> ChangepointConfig:
+def binary_segmentation(series: TimeSeries, min_len: int = 2, c: float = 1.3) -> ChangepointConfig:
     """Detect changepoints by recursively splitting at the maximal CUSUM.
 
     On each segment the best split is recorded when its contrast magnitude
-    strictly exceeds ``threshold`` (default c * sqrt(2 ln T) * sigma_hat);
-    recursion continues on both halves and stops on segments shorter than
-    ``min_len`` or with no split above the threshold.
+    strictly exceeds the threshold c * sqrt(2 ln T) * sigma_hat; recursion
+    continues on both halves and stops on segments shorter than ``min_len``
+    or with no split above the threshold.
     """
-    check_settings(threshold=threshold, min_len=min_len)
-    if threshold is None:
-        threshold = universal_threshold(series, c)
-    return split_recursively(series, threshold, min_len)
+    check_settings(min_len=min_len)
+    return split_recursively(series, universal_threshold(series, c), min_len)

@@ -2,8 +2,8 @@
 configurations against each other, and run the Monte-Carlo benchmark.
 
 Exit codes: 0 success, 2 unreadable file, 3 bad file content (named line),
-4 invalid method or benchmark configuration, or an output path that cannot
-be written.
+4 a usage error, an invalid method or benchmark configuration, or an output
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -66,6 +66,13 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 4, not argparse's 2."""
+
+    def error(self, message):
+        raise CliError(f"{self.format_usage()}{self.prog}: error: {message}", EXIT_BAD_CONFIG)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -229,7 +236,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpdkit",
         description="Changepoint detection, configuration scoring, and benchmarking.",
     )
@@ -283,9 +290,8 @@ def _add_detector_flags(p) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

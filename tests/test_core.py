@@ -90,6 +90,13 @@ class TestChangepointConfig:
         cfg = ChangepointConfig(times=(np.int64(3), 7), series_length=10)
         assert cfg.times == (3, 7) and all(type(t) is int for t in cfg.times)
 
+    def test_from_times_rejects_mixed_types_by_the_integer_rule(self):
+        # sorting before the check once raised "TypeError: '<' not supported"
+        for times in (("7", 3), (3, None), (2.5, "x", 4)):
+            with pytest.raises(ValueError, match="^changepoint times must be integers"):
+                ChangepointConfig.from_times(times, 10)
+        assert ChangepointConfig.from_times((7, np.int64(3)), 10).times == (3, 7)
+
 
 class TestGenNull:
     def test_length_contract(self):
