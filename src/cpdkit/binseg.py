@@ -25,7 +25,7 @@ def split_recursively(
         s, e = segments.popleft()
         if e - s + 1 < min_len:
             continue
-        b, magnitude = max_cusum_from_sums(series.prefix_sums, s, e)
+        b, magnitude = max_cusum_from_sums(series.centered_moments[0], s, e)
         if intervals is not None:
             starts, ends, splits, mags = intervals
             inside = np.nonzero((starts >= s) & (ends <= e))[0]

@@ -28,7 +28,7 @@ from .bench import (
     run_null_study,
     run_signal_study,
 )
-from .core import ChangepointConfig, TimeSeries, segment_means, threshold_level
+from .core import ChangepointConfig, TimeSeries, check_settings, segment_means, threshold_level
 from .distance import config_distance
 
 EXIT_OK = 0
@@ -180,8 +180,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    if args.length < 2:
-        raise CliError(f"--length must be at least 2, got {args.length}", EXIT_BAD_CONFIG)
+    check_settings(length=args.length)
     truth = read_changepoint_file(args.truth, args.length)
     estimate = read_changepoint_file(args.estimate, args.length)
     total = config_distance(truth, estimate)

@@ -47,23 +47,12 @@ class TimeSeries:
         return int(self.values.size)
 
     @cached_property
-    def prefix_sums(self) -> np.ndarray:
-        """P[i] = sum of the first i values, so times s..e sum to P[e] - P[s-1]."""
-        return _prefix_sums(self.values)
-
-    @cached_property
     def centered_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix sums and sums of squares of the centered series (centering keeps ss - s^2/n
-        from cancelling at large offsets); ValueError where an RSS could overflow or vanish."""
+        """Prefix sums s and sums of squares ss of the values less their mean (times u+1..t
+        sum to s[t] - s[u]), so no offset enters a contrast or makes ss - s^2/n cancel."""
         with np.errstate(over="ignore", invalid="ignore"):
             centered = self.values - self.values.mean()
-            s, ss = _prefix_sums(centered), _prefix_sums(centered * centered)
-            # T * ss bounds every squared segment sum (s[t] - s[u])^2 an RSS forms
-            if not np.isfinite(ss[-1] * len(self)) or (ss[-1] == 0 and centered.any()):
-                raise ValueError(
-                    "a segment RSS needs deviations from the series mean between about "
-                    f"1e-150 and {1e154 / len(self):.0e} in magnitude at T={len(self)}")
-        return s, ss
+            return _prefix_sums(centered), _prefix_sums(centered * centered)
 
     @cached_property
     def sigma_hat(self) -> float:
@@ -73,8 +62,8 @@ class TimeSeries:
     @cached_property
     def magnitude_floor(self) -> float:
         """Contrast below which a magnitude is rounding residue: an exact fit gives about
-        max|x| * sqrt(T) * eps, not 0, and noiseless data must not trigger on that."""
-        scale = float(np.max(np.abs(self.values)))
+        max|x - mean(x)| * sqrt(T) * eps, not 0, and noiseless data must not trigger on that."""
+        scale = float(np.max(np.abs(self.values - self.values.mean())))
         return 64.0 * np.finfo(np.float64).eps * math.sqrt(self.values.size) * scale
 
     # the tables penlik.segment_rss_table built for this series, by (m_max, min_seg)

@@ -35,7 +35,7 @@ def cusum_stat(series: TimeSeries, s: int, e: int, b: int) -> float:
     _check_interval(len(series), s, e)
     if not s <= b < e:
         raise ValueError(f"split must satisfy s <= b < e, got s={s}, b={b}, e={e}")
-    return float(_contrast(series.prefix_sums, s, e - s + 1, np.array([b - s + 1]))[0])
+    return float(_contrast(series.centered_moments[0], s, e - s + 1, np.array([b - s + 1]))[0])
 
 
 def _contrast(p: np.ndarray, s, n, j) -> np.ndarray:
@@ -56,11 +56,11 @@ def max_cusum(series: TimeSeries, s: int, e: int) -> tuple[int, float]:
     Ties are broken toward the smallest b.
     """
     _check_interval(len(series), s, e)
-    return max_cusum_from_sums(series.prefix_sums, s, e)
+    return max_cusum_from_sums(series.centered_moments[0], s, e)
 
 
 def max_cusum_from_sums(p: np.ndarray, s: int, e: int) -> tuple[int, float]:
-    """As :func:`max_cusum`, on prefix sums ``p`` (:attr:`TimeSeries.prefix_sums`)."""
+    """As :func:`max_cusum`, on prefix sums ``p``; the detectors pass the centered ones."""
     if e - s < 1:
         raise ValueError(f"interval must contain at least one split, got s={s}, e={e}")
     mags = np.abs(_contrast(p, s, e - s + 1, np.arange(1, e - s + 1)))

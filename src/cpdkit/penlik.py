@@ -70,6 +70,19 @@ class RssTable:
         return ChangepointConfig(times=self.configs[m], series_length=self.series_length)
 
 
+def _rss_moments(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The series' centered moments, or ValueError where a segment RSS could overflow or vanish."""
+    s, ss = series.centered_moments
+    # T * ss bounds every squared segment sum (s[t] - s[u])^2 an RSS forms, and
+    # s is all 0 only where every deviation is
+    with np.errstate(over="ignore"):
+        if not np.isfinite(ss[-1] * len(series)) or (ss[-1] == 0 and s.any()):
+            raise ValueError(
+                "a segment RSS needs deviations from the series mean between about "
+                f"1e-150 and {1e154 / len(series):.0e} in magnitude at T={len(series)}")
+    return s, ss
+
+
 def _segment_cost(s: np.ndarray, ss: np.ndarray, u, t) -> np.ndarray:
     """RSS of one mean over observations u+1..t (prefix indices), for index
     arrays u and t broadcast against each other."""
@@ -115,9 +128,10 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     """Exact minimal-RSS configurations for every count m = 0..m_max.
 
     Segment-neighborhood dynamic programming in O(m_max * T^2) time at worst
-    and O(T * _COST_BLOCK) memory: each block of cost rows (one per end time
-    t) is built once, and one loop computes each level k = 1..m_max on all
-    of them, valid because f_k[t] reads f_{k-1}[u] only for u < t. A level
+    and O(T * (m_max + _COST_BLOCK)) memory (the levels, their back-pointers
+    and one block of cost rows): each block of rows, one per end time t, is
+    built once, and one loop computes each level k = 1..m_max on all of
+    them, valid because f_k[t] reads f_{k-1}[u] only for u < t. A level
     is one add into one contiguous buffer and one argmin along each row;
     argmin keeps the first minimum, so ties go to the smallest u.
 
@@ -145,7 +159,7 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     if (m_max, min_seg) in series._rss_tables:
         return series._rss_tables[m_max, min_seg]
 
-    s, ss = series.centered_moments
+    s, ss = _rss_moments(series)
     # The slack bounds the rounding of the pruning test. With the stored
     # prefix sums the unclipped cost formula D satisfies D(u, s) >= D(u, t) +
     # D(t, s) exactly (the ss terms telescope, and a^2/p + b^2/q >=
@@ -218,7 +232,7 @@ class _Objective:
         self.penalty_name = penalty_name
         self.min_seg = min_seg
         self.m_max = default_m_max(self.n, min_seg)
-        self.s, self.ss = series.centered_moments
+        self.s, self.ss = _rss_moments(series)
         self.zero_tol = _ZERO_RSS_RTOL * float(_segment_cost(self.s, self.ss, 0, self.n))
         if penalty_name == "mbic":  # ln(l / T), the mBIC term of a segment of length l
             self.log_rel_len = functools.cache(lambda l, n=self.n: math.log(l / n))

@@ -55,5 +55,5 @@ def wbs_detect(
     if m_intervals > 0:
         rng = np.random.default_rng(seed)
         starts, ends = sample_interval_pairs(rng, len(series), m_intervals, min_span)
-        intervals = (starts, ends, *batch_max_cusum(series.prefix_sums, starts, ends))
+        intervals = (starts, ends, *batch_max_cusum(series.centered_moments[0], starts, ends))
     return split_recursively(series, threshold, intervals=intervals)

@@ -86,7 +86,7 @@ def wbs2_candidates(
     """
     check_settings(m_stage=m_stage)
     rng = np.random.default_rng(seed)
-    p, dust = series.prefix_sums, series.magnitude_floor
+    p, dust = series.centered_moments[0], series.magnitude_floor
 
     records: list[CandidateEntry] = []
     root_s, mag_tab = 1, np.empty((0, 0))  # the current exhaustive root's tables; none yet

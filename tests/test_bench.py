@@ -193,12 +193,11 @@ class TestRunNullStudy:
         assert serial == parallel
 
     def test_replication_computes_per_series_values_once(self, count_calls):
-        # the detectors of one replication share its series' prefix sums,
-        # centered moments, noise scale and segment-neighbourhood DP; at T=100
-        # the DP builds its cost rows in one block
+        # the detectors of one replication share its series' centered moments,
+        # noise scale and segment-neighbourhood DP; at T=100 the DP builds its
+        # cost rows in one block
         counts = {name: count_calls(owner, name) for owner, name in (
-            (TimeSeries, "prefix_sums"), (TimeSeries, "centered_moments"),
-            (core, "mad_sigma"), (penlik, "_cost_rows"),
+            (TimeSeries, "centered_moments"), (core, "mad_sigma"), (penlik, "_cost_rows"),
         )}
         bench._replicate((["bic", "mbic", "wbs", "wbs2-sdll"], 100, None, 0, 5, None))
         assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(counts, 1)

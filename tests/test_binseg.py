@@ -4,7 +4,15 @@ from collections import deque
 import numpy as np
 import pytest
 
-from cpdkit import TimeSeries, binary_segmentation, gen_null, gen_teeth, max_cusum, wbs_detect
+from cpdkit import (
+    TimeSeries,
+    binary_segmentation,
+    gen_null,
+    gen_teeth,
+    max_cusum,
+    wbs2_sdll_detect,
+    wbs_detect,
+)
 from cpdkit.core import universal_threshold
 from cpdkit.cusum import batch_max_cusum, max_cusum_from_sums
 from cpdkit.binseg import split_recursively
@@ -14,7 +22,7 @@ from cpdkit.wbs import sample_interval_pairs
 def reference_binseg(series, threshold, min_len):
     """Binary segmentation's own deque loop, before it shared one recursion
     with WBS."""
-    p = series.prefix_sums
+    p = series.centered_moments[0]
     cutoff = max(threshold, series.magnitude_floor)
     found = []
     segments = deque([(1, len(series))])
@@ -35,7 +43,7 @@ def reference_wbs(series, m_intervals, c, seed, min_span):
     segmentation."""
     n_obs = len(series)
     threshold = max(universal_threshold(series, c), series.magnitude_floor)
-    p = series.prefix_sums
+    p = series.centered_moments[0]
     if m_intervals > 0:
         rng = np.random.default_rng(seed)
         starts, ends = sample_interval_pairs(rng, n_obs, m_intervals, min_span)
@@ -99,13 +107,26 @@ def test_contained_interval_must_beat_the_segment_strictly():
     # on (1, 6) the interval (4, 6) ties the segment's own contrast, at split
     # 5 against 3; the segment's split wins, and (4, 6) is too short to split
     series = TimeSeries([0.0, 0.0, 0.0, 1.0, 2.0, 0.0])
-    p = series.prefix_sums
+    p = series.centered_moments[0]
     starts, ends = np.array([4]), np.array([6])
     splits, mags = batch_max_cusum(p, starts, ends)
     assert (3, 5) == (max_cusum(series, 1, 6)[0], splits[0])
     assert max_cusum(series, 1, 6)[1] == mags[0]
     table = (starts, ends, splits, mags)
     assert split_recursively(series, 1.0, min_len=4, intervals=table).times == (4,)
+
+
+def test_offset_cancels_from_contrast_and_floor():
+    # the contrast is a difference of segment means, so an offset cancels;
+    # the dust floor scales with the deviations from the mean, not with |x|
+    step = np.array([0.0] * 30 + [1.0] * 30)
+    series, shifted = TimeSeries(step), TimeSeries(step + 1e14)
+    assert shifted.magnitude_floor == series.magnitude_floor
+    # within a factor of 2 of a floor scaled by max|x|
+    max_abs_floor = 64 * np.finfo(np.float64).eps * math.sqrt(60) * np.max(np.abs(step))
+    assert max_abs_floor / 2 <= series.magnitude_floor <= max_abs_floor
+    for detect in (binary_segmentation, wbs_detect, wbs2_sdll_detect):
+        assert detect(shifted).times == (31,), detect.__name__
 
 
 class TestBinarySegmentation:

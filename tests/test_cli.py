@@ -349,6 +349,17 @@ class TestDistance:
         e.write_text("5\n")
         assert main(["distance", "/no/file", str(e), "--length", "100"]) == 2
 
+    def test_short_length_exit_4_with_the_setting_rule(self, tmp_path, capsys):
+        # the one rule of a length, in the words every other path raises
+        t = tmp_path / "t.txt"
+        e = tmp_path / "e.txt"
+        t.write_text("")
+        e.write_text("")
+        with pytest.raises(ValueError) as rule:
+            cpdkit.core.check_settings(length=1)
+        assert main(["distance", str(t), str(e), "--length", "1"]) == 4
+        assert capsys.readouterr().err == f"{rule.value}\n"
+
 
 class TestRoundTrip:
     def test_detect_then_distance_self_is_zero(self, tmp_path, capsys):

@@ -118,7 +118,7 @@ class TestBatchMaxCusum:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(200)
         s = TimeSeries(x)
-        p = TimeSeries(x).prefix_sums
+        p = TimeSeries(x).centered_moments[0]
         starts = np.array([1, 5, 30, 100, 1])
         ends = np.array([200, 20, 31, 180, 2])
         bs, mags = batch_max_cusum(p, starts, ends)
@@ -128,7 +128,8 @@ class TestBatchMaxCusum:
             assert mags[i] == pytest.approx(m_ref, rel=1e-12)
 
     def test_empty_input(self):
-        bs, mags = batch_max_cusum(TimeSeries(np.zeros(5)).prefix_sums, np.empty(0), np.empty(0))
+        p = TimeSeries(np.zeros(5)).centered_moments[0]
+        bs, mags = batch_max_cusum(p, np.empty(0), np.empty(0))
         assert bs.size == 0 and mags.size == 0
 
 
@@ -146,7 +147,7 @@ def test_block_and_flat_paths_match_per_interval(monkeypatch, block_min, data):
         x = np.round(x)
     elif data == "offset":
         x = x + 1e8
-    p = TimeSeries(x).prefix_sums
+    p = TimeSeries(x).centered_moments[0]
     short_starts = rng.integers(1, 290, size=400)
     long_starts, long_ends = sample_interval_pairs(rng, 300, 200)
     starts = np.concatenate((short_starts, long_starts, [1, 1, 299]))
@@ -163,7 +164,7 @@ def test_batch_memory_bounded_by_largest_block():
     # WBS's 5000 draws at T=3000 hold about 5M (interval, split) entries; one
     # flat evaluation of them traces over 300 MB, a same-span block about 1 MB
     x = np.random.default_rng(6).standard_normal(3000)
-    p = TimeSeries(x).prefix_sums
+    p = TimeSeries(x).centered_moments[0]
     starts, ends = sample_interval_pairs(np.random.default_rng(7), 3000, 5000)
     tracemalloc.start()
     try:

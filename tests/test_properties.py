@@ -1,18 +1,19 @@
 """Invariances the detectors hold exactly, pinned on teeth series.
 
-Negating a series negates its prefix sums and centered moments and leaves
-its median absolute deviations and every |CUSUM contrast| unchanged, all
-without rounding, so every detector and both penalized searches return the
-same changepoints. Scaling by a power of two is exact too, so the CUSUM
+Negating a series negates its centered moments and leaves its median
+absolute deviations and every |CUSUM contrast| unchanged, all without
+rounding, so every detector and both penalized searches return the same
+changepoints. Scaling by a power of two is exact too, so the CUSUM
 detectors, whose statistics and thresholds both scale with the noise scale,
 return the same changepoints. Shifts and other scales round, so for them
 the CUSUM detectors are pinned within the documented limits: shifts up to
-1e8 and scales from 1e-100 to 1e6. BIC and mBIC are pinned under scaling by
-2**k, |k| <= 8: the segment RSS scale by exactly 4**k, and only their log
-terms may round differently. They are pinned too under shifts up to 1e8 and
-scales from 1e-100 to 1e100: their moments are taken on the centered series,
-and their zero-RSS rule is relative. The limit is the range of the centered
-moments, which raise ValueError beyond it.
+1e12 (their contrasts read the centered sums) and scales from 1e-100 to
+1e6. BIC and mBIC are pinned under scaling by 2**k, |k| <= 8: the segment
+RSS scale by exactly 4**k, and only their log terms may round differently.
+They are pinned too under shifts up to 1e8 and scales from 1e-100 to 1e100:
+their moments are taken on the centered series, and their zero-RSS rule is
+relative. The limit is the range of a segment RSS, beyond which every
+penalized path raises ValueError.
 
 Reversing a series in time mirrors every split: the first b observations
 become the last b, so a CUSUM split b on [1, T] becomes T - b and a
@@ -84,7 +85,7 @@ def test_power_of_two_scaling_leaves_cusum_changepoints_unchanged(case, k):
 def test_translation_leaves_cusum_changepoints_unchanged(case):
     series, seed = case
     expected = {method: run_method(method, series, seed) for method in CUSUM_METHODS}
-    for shift in (1.0, 1e3, 1e6, 1e8):
+    for shift in (1.0, 1e3, 1e6, 1e8, 1e10, 1e12, -1e12):
         shifted = TimeSeries(series.values + shift)
         for method in CUSUM_METHODS:
             assert run_method(method, shifted, seed) == expected[method], (method, shift)

@@ -33,7 +33,7 @@ def reference_candidates(series, m_stage, seed):
     """wbs2_candidates with one batch_max_cusum call at every stage and the
     exhaustive pairs listed row-major by a comprehension."""
     rng = np.random.default_rng(seed)
-    p = series.prefix_sums
+    p = series.centered_moments[0]
     dust = series.magnitude_floor
     records = []
     stack = [(1, len(series))]
