@@ -33,6 +33,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("series must be real-valued, got complex values")
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
@@ -46,12 +48,23 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @cached_property
-    def centered_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix sums s and sums of squares ss of the values less their mean (times u+1..t
-        sum to s[t] - s[u]), so no offset enters a contrast or makes ss - s^2/n cancel."""
+    def _deviations(self) -> tuple[np.ndarray, float]:
+        """x - mean(x) and max|x - mean(x)|; ValueError unless T times the max, which bounds
+        every centered prefix sum and contrast, is finite (not so where the mean overflows)."""
         with np.errstate(over="ignore", invalid="ignore"):
             centered = self.values - self.values.mean()
+            scale = float(np.max(np.abs(centered)))
+        if not math.isfinite(scale * len(self)):
+            limit = f"below about {np.finfo(np.float64).max / len(self):.0e} at T={len(self)}"
+            raise ValueError(f"centered sums need a finite mean and deviations from it {limit}")
+        return centered, scale
+
+    @cached_property
+    def centered_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix sums s and ss of x - mean(x) and of its square (times u+1..t sum to s[t] - s[u]):
+        no offset enters a contrast or makes ss - s^2/n cancel. Raises as :meth:`_deviations`."""
+        centered = self._deviations()[0]
+        with np.errstate(over="ignore"):  # the squares; penlik checks their range
             return _prefix_sums(centered), _prefix_sums(centered * centered)
 
     @cached_property
@@ -63,8 +76,7 @@ class TimeSeries:
     def magnitude_floor(self) -> float:
         """Contrast below which a magnitude is rounding residue: an exact fit gives about
         max|x - mean(x)| * sqrt(T) * eps, not 0, and noiseless data must not trigger on that."""
-        scale = float(np.max(np.abs(self.values - self.values.mean())))
-        return 64.0 * np.finfo(np.float64).eps * math.sqrt(self.values.size) * scale
+        return 64.0 * np.finfo(np.float64).eps * math.sqrt(len(self)) * self._deviations()[1]
 
     # the tables penlik.segment_rss_table built for this series, by (m_max, min_seg)
     _rss_tables = cached_property(lambda self: {})

@@ -55,19 +55,10 @@ class PenalizedFit:
 
 @dataclass(frozen=True)
 class RssTable:
-    """Row m: minimal-RSS configuration with exactly m changepoints."""
+    """Row m = 0..m_max: the least RSS of m changepoints and their sorted times."""
 
     rss: tuple[float, ...]
     configs: tuple[tuple[int, ...], ...]
-    series_length: int
-    min_seg: int
-
-    @property
-    def m_max(self) -> int:
-        return len(self.rss) - 1
-
-    def config(self, m: int) -> ChangepointConfig:
-        return ChangepointConfig(times=self.configs[m], series_length=self.series_length)
 
 
 def _rss_moments(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +137,9 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
     split never raises the RSS. No level depends on m_max, so a smaller
     table is a prefix of a larger one, bit for bit.
 
-    The series keeps the table by (m_max, min_seg): select_bic and
-    select_mbic on it share one DP.
+    The table is ``rss`` and ``configs``, every count's times read off the
+    back pointers in one pass; the series keeps it by (m_max, min_seg), so
+    select_bic and select_mbic on it share one DP.
     """
     n = len(series)
     check_settings(m_max=m_max, min_seg=min_seg)
@@ -195,17 +187,16 @@ def segment_rss_table(series: TimeSeries, m_max: int, min_seg: int = 2) -> RssTa
                 pruned = f[k - 1, b:end] + cost[t - lo, b:end] > f[k - 1, t] + slack
                 band[k] = b + (end - b if pruned.all() else int(np.argmin(pruned)))
 
-    configs: list[tuple[int, ...]] = [()]
-    for m in range(1, m_max + 1):
-        times, t = [], n
-        for k in range(m, 0, -1):
-            t = int(backs[k - 1, t])  # the last observation before the k-th changepoint
-            times.append(t + 1)
-        configs.append(tuple(sorted(times)))
-
-    table = RssTable(
-        rss=tuple(f[:, n].tolist()), configs=tuple(configs), series_length=n, min_seg=min_seg
-    )
+    # Backtrack every count at once. Step j moves each count m > j back from
+    # level m - j to the last observation before its (m - j)-th changepoint,
+    # and writes that changepoint to column m - j - 1, so rows come out sorted.
+    times = np.zeros((m_max, m_max), dtype=np.int64)  # row m - 1: count m
+    t, col = np.full(m_max, n), np.arange(m_max)
+    for j in range(m_max):  # row m - j - 1 of backs is level m - j, for m = j + 1..m_max
+        t[j:] = backs[col[: m_max - j], t[j:]]
+        times[col[j:], col[: m_max - j]] = t[j:] + 1
+    configs = ((), *(tuple(row[:m]) for m, row in enumerate(times.tolist(), 1)))
+    table = RssTable(rss=tuple(f[:, n].tolist()), configs=configs)
     series._rss_tables[m_max, min_seg] = table
     return table
 
@@ -326,10 +317,9 @@ def _select_penalized(series: TimeSeries, penalty_name: str, min_seg: int) -> Pe
         raise ValueError(f"need at least 6 observations, got {n}")
     objective = _Objective(series, penalty_name, min_seg)
     table = segment_rss_table(series, objective.m_max, min_seg)
-    best = min(
-        range(table.m_max + 1),
-        key=lambda m: (objective.score(table.rss[m], table.config(m).segment_lengths()), m),
-    )
+    # each count's segment lengths, the ints ChangepointConfig.segment_lengths gives
+    lengths = [np.diff((1, *times, n + 1)).tolist() for times in table.configs]
+    best = min(range(len(lengths)), key=lambda m: (objective.score(table.rss[m], lengths[m]), m))
     return objective.fit(table.configs[best], table.rss[best])
 
 

@@ -129,6 +129,22 @@ def test_offset_cancels_from_contrast_and_floor():
         assert detect(shifted).times == (31,), detect.__name__
 
 
+def test_cusum_detectors_name_their_usable_range():
+    # a 3-sigma step scaled by 1e306 overflows its centered prefix sums, and
+    # on a 1e306 offset the mean overflows: binseg and WBS returned () and
+    # WBS2-SDLL raised CandidateEntry's "need start <= location < end"
+    noise = np.random.default_rng(0).standard_normal(200)
+    step = np.r_[np.zeros(100), 3 * np.ones(100)] + noise
+    jump = np.r_[np.zeros(100), 1e300 * np.ones(100)]
+    message = r"finite mean and deviations from it below about 9e\+305 at T=200"
+    for detect in (binary_segmentation, wbs_detect, wbs2_sdll_detect):
+        for values in (1e306 * step, 1e306 + jump):
+            with pytest.raises(ValueError, match=message):
+                detect(TimeSeries(values))
+        for values in (1e305 * step, 1e305 + jump):
+            assert detect(TimeSeries(values)).times == (101,), detect.__name__
+
+
 class TestBinarySegmentation:
     def test_constant_series_empty(self):
         s = TimeSeries([2.0] * 40)

@@ -18,6 +18,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([1.0, np.inf])
 
+    def test_rejects_complex_values(self):
+        # an array kept its real part, dropping the imaginary one with only a
+        # ComplexWarning; a list failed inside numpy with a TypeError
+        for values in (np.array([1 + 1j, 2, 3, 4]), [1 + 1j, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="^series must be real-valued"):
+                TimeSeries(values)
+
     def test_length(self):
         assert len(TimeSeries([1.0, 2.0, 3.0])) == 3
 

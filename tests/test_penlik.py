@@ -112,7 +112,7 @@ class TestSegmentRssTable:
         x = rng.standard_normal(40)
         table = segment_rss_table(TimeSeries(x), m_max=8, min_seg=3)
         for m in range(9):
-            assert all(l >= 3 for l in table.config(m).segment_lengths())
+            assert all(l >= 3 for l in ChangepointConfig(table.configs[m], 40).segment_lengths())
 
 
 class TestSelectBic:
@@ -358,7 +358,7 @@ def _dense_rss_table(series, m_max, min_seg):
             end = int(back[end])
             times.append(end + 1)
         configs.append(tuple(sorted(times)))
-    return RssTable(rss=tuple(rss), configs=tuple(configs), series_length=n, min_seg=min_seg)
+    return RssTable(rss=tuple(rss), configs=tuple(configs))
 
 
 def _tie_prone_series(n):
@@ -448,6 +448,26 @@ def test_smaller_table_is_a_prefix_of_a_larger_one(n):
             table = segment_rss_table(TimeSeries(values), m, min_seg)
             assert table.rss == full.rss[: m + 1]
             assert table.configs == full.configs[: m + 1]
+
+
+@pytest.mark.parametrize(("m_max", "min_seg"), [(100, 2), (60, 3)])
+def test_backtrack_matches_dense_reference_far_beyond_the_cap(m_max, min_seg):
+    # every count is read off the back pointers in one pass, its times sorted
+    # by construction; the other tests backtrack at most 25 levels
+    for series in (gen_teeth(300, 10, 1.0, 0.3, seed=3)[0], gen_null(300, 4)):
+        expected = _dense_rss_table(series, m_max, min_seg)
+        assert segment_rss_table(series, m_max, min_seg) == expected
+
+
+@pytest.mark.parametrize("select", (select_bic, select_mbic))
+def test_selection_constructs_one_config(monkeypatch, select):
+    # counts are scored from their segment lengths; only the winner becomes a
+    # ChangepointConfig, where each of the 26 counts once built one too
+    calls, post_init = [], ChangepointConfig.__post_init__
+    monkeypatch.setattr(ChangepointConfig, "__post_init__",
+                        lambda self: calls.append(self.times) or post_init(self))
+    fit = select(gen_null(100, 1))
+    assert calls == [fit.config.times]
 
 
 def test_dp_memory_bounded_by_cost_block():
