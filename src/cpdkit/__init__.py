@@ -15,7 +15,6 @@ from .core import (
     gen_teeth,
     mad_sigma,
     segment_means,
-    universal_threshold,
 )
 from .cusum import cusum_stat, max_cusum
 from .distance import config_distance
@@ -52,7 +51,6 @@ __all__ = [
     "gen_teeth",
     "mad_sigma",
     "segment_means",
-    "universal_threshold",
     "cusum_stat",
     "max_cusum",
     "binary_segmentation",

@@ -6,8 +6,8 @@ from collections import deque
 
 import numpy as np
 
-from .core import ChangepointConfig, TimeSeries, check_settings, universal_threshold
-from .cusum import max_cusum_from_sums
+from .core import ChangepointConfig, TimeSeries, check_settings, threshold_level
+from .cusum import max_cusum
 
 
 def split_recursively(
@@ -25,7 +25,7 @@ def split_recursively(
         s, e = segments.popleft()
         if e - s + 1 < min_len:
             continue
-        b, magnitude = max_cusum_from_sums(series.centered_moments[0], s, e)
+        b, magnitude = max_cusum(series, s, e)
         if intervals is not None:
             starts, ends, splits, mags = intervals
             inside = np.nonzero((starts >= s) & (ends <= e))[0]
@@ -48,5 +48,5 @@ def binary_segmentation(series: TimeSeries, min_len: int = 2, c: float = 1.3) ->
     continues on both halves and stops on segments shorter than ``min_len``
     or with no split above the threshold.
     """
-    check_settings(min_len=min_len)
-    return split_recursively(series, universal_threshold(series, c), min_len)
+    check_settings(min_len=min_len, c=c)
+    return split_recursively(series, threshold_level(c, len(series), series.sigma_hat), min_len)

@@ -251,12 +251,6 @@ def check_settings(**settings) -> None:
             raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def universal_threshold(series: TimeSeries, c: float = 1.3) -> float:
-    """Detection threshold :func:`threshold_level` at sigma_hat = mad_sigma."""
-    check_settings(c=c)
-    return threshold_level(c, len(series), series.sigma_hat)
-
-
 def segment_means(series: TimeSeries, config: ChangepointConfig) -> list[float]:
     """Per-segment sample means under a configuration."""
     if config.series_length != len(series):

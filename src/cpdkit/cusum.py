@@ -56,14 +56,7 @@ def max_cusum(series: TimeSeries, s: int, e: int) -> tuple[int, float]:
     Ties are broken toward the smallest b.
     """
     _check_interval(len(series), s, e)
-    return max_cusum_from_sums(series.centered_moments[0], s, e)
-
-
-def max_cusum_from_sums(p: np.ndarray, s: int, e: int) -> tuple[int, float]:
-    """As :func:`max_cusum`, on prefix sums ``p``; the detectors pass the centered ones."""
-    if e - s < 1:
-        raise ValueError(f"interval must contain at least one split, got s={s}, e={e}")
-    mags = np.abs(_contrast(p, s, e - s + 1, np.arange(1, e - s + 1)))
+    mags = np.abs(_contrast(series.centered_moments[0], s, e - s + 1, np.arange(1, e - s + 1)))
     idx = int(np.argmax(mags))
     return s + idx, float(mags[idx])
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .binseg import split_recursively
-from .core import ChangepointConfig, Seed, TimeSeries, check_settings, universal_threshold
+from .core import ChangepointConfig, Seed, TimeSeries, check_settings, threshold_level
 from .cusum import batch_max_cusum
 
 
@@ -49,8 +49,8 @@ def wbs_detect(
     segment compete with the segment itself. With ``m_intervals=0`` this is
     plain binary segmentation at the same threshold.
     """
-    check_settings(m_intervals=m_intervals, min_span=min_span)
-    threshold = universal_threshold(series, c)
+    check_settings(m_intervals=m_intervals, min_span=min_span, c=c)
+    threshold = threshold_level(c, len(series), series.sigma_hat)
     intervals = None
     if m_intervals > 0:
         rng = np.random.default_rng(seed)

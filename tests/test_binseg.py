@@ -13,8 +13,8 @@ from cpdkit import (
     wbs2_sdll_detect,
     wbs_detect,
 )
-from cpdkit.core import universal_threshold
-from cpdkit.cusum import batch_max_cusum, max_cusum_from_sums
+from cpdkit.core import threshold_level
+from cpdkit.cusum import batch_max_cusum
 from cpdkit.binseg import split_recursively
 from cpdkit.wbs import sample_interval_pairs
 
@@ -22,7 +22,6 @@ from cpdkit.wbs import sample_interval_pairs
 def reference_binseg(series, threshold, min_len):
     """Binary segmentation's own deque loop, before it shared one recursion
     with WBS."""
-    p = series.centered_moments[0]
     cutoff = max(threshold, series.magnitude_floor)
     found = []
     segments = deque([(1, len(series))])
@@ -30,7 +29,7 @@ def reference_binseg(series, threshold, min_len):
         s, e = segments.popleft()
         if e - s + 1 < min_len or e - s < 1:
             continue
-        b, magnitude = max_cusum_from_sums(p, s, e)
+        b, magnitude = max_cusum(series, s, e)
         if magnitude > cutoff:
             found.append(b + 1)
             segments.append((s, b))
@@ -42,7 +41,7 @@ def reference_wbs(series, m_intervals, c, seed, min_span):
     """WBS's own deque loop, before it shared one recursion with binary
     segmentation."""
     n_obs = len(series)
-    threshold = max(universal_threshold(series, c), series.magnitude_floor)
+    threshold = max(threshold_level(c, n_obs, series.sigma_hat), series.magnitude_floor)
     p = series.centered_moments[0]
     if m_intervals > 0:
         rng = np.random.default_rng(seed)
@@ -57,7 +56,7 @@ def reference_wbs(series, m_intervals, c, seed, min_span):
         s, e = segments.popleft()
         if e - s < 1:
             continue
-        best_b, best_mag = max_cusum_from_sums(p, s, e)
+        best_b, best_mag = max_cusum(series, s, e)
         inside = np.nonzero((starts >= s) & (ends <= e))[0]
         if inside.size:
             k = inside[int(np.argmax(mags[inside]))]
@@ -89,7 +88,7 @@ def test_one_recursion_matches_both_reference_loops(kind):
     half = max_cusum(series, 1, n // 2)[1]
     for min_len in (2, 5):
         for c in (0.0, 0.5, 1.3):
-            expected = reference_binseg(series, universal_threshold(series, c), min_len)
+            expected = reference_binseg(series, threshold_level(c, n, series.sigma_hat), min_len)
             assert binary_segmentation(series, min_len=min_len, c=c).times == expected
         for threshold in (0.0, 1.0, 3.0, root, half, math.inf):
             expected = reference_binseg(series, threshold, min_len)

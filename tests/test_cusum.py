@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpdkit import TimeSeries, cusum_stat, max_cusum
-from cpdkit.cusum import batch_max_cusum, max_cusum_from_sums
+from cpdkit.cusum import batch_max_cusum
 from cpdkit.wbs import sample_interval_pairs
 
 
@@ -137,7 +137,7 @@ class TestBatchMaxCusum:
 @pytest.mark.parametrize("data", ["noise", "rounded", "offset"])
 def test_block_and_flat_paths_match_per_interval(monkeypatch, block_min, data):
     # _BLOCK_MIN = 1 evaluates every same-span group as a block, 10**12 puts
-    # every interval in the flat pass; both must equal max_cusum_from_sums
+    # every interval in the flat pass; both must equal max_cusum
     # bit for bit, ties included
     import cpdkit.cusum as cusum_mod
 
@@ -147,7 +147,8 @@ def test_block_and_flat_paths_match_per_interval(monkeypatch, block_min, data):
         x = np.round(x)
     elif data == "offset":
         x = x + 1e8
-    p = TimeSeries(x).centered_moments[0]
+    series = TimeSeries(x)
+    p = series.centered_moments[0]
     short_starts = rng.integers(1, 290, size=400)
     long_starts, long_ends = sample_interval_pairs(rng, 300, 200)
     starts = np.concatenate((short_starts, long_starts, [1, 1, 299]))
@@ -155,7 +156,7 @@ def test_block_and_flat_paths_match_per_interval(monkeypatch, block_min, data):
 
     monkeypatch.setattr(cusum_mod, "_BLOCK_MIN", block_min)
     bs, mags = batch_max_cusum(p, starts, ends)
-    expected = [max_cusum_from_sums(p, int(s), int(e)) for s, e in zip(starts, ends)]
+    expected = [max_cusum(series, int(s), int(e)) for s, e in zip(starts, ends)]
     assert bs.tolist() == [b for b, _ in expected]
     assert mags.tolist() == [m for _, m in expected]
 

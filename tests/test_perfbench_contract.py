@@ -9,7 +9,9 @@ every benchmark operation.
 """
 
 import ast
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from cpdkit.bench import METHODS
 from cpdkit.cli import _method_params, build_parser
 
 WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+TRACING = WORKLOAD.with_name("tracing.py")
 
 BOUND_PARAMETERS = [
     (penlik.segment_rss_table, ("series", "m_max")),
@@ -62,3 +65,44 @@ def test_workload_cli_flags_parse_to_the_workload_params():
     flags = workload_constant("CLI_FLAGS")
     args = build_parser().parse_args(["detect", "x.csv", "--method", "binseg", *flags])
     assert _method_params(args) == workload_constant("PARAMS")
+
+
+def resolves(module, name):
+    return hasattr(importlib.import_module(module), name)
+
+
+def test_unresolved_tracing_names_are_pinned(monkeypatch):
+    # the tracer skips a site it cannot find and _module_const falls back to
+    # a default, so a rename would blank or skew a per-layer metric without
+    # failing the run; this pins the names that already fail to resolve
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+
+    missing_sites = {site.key for site in tracing.SITES if not resolves(site.module, site.name)}
+    assert missing_sites == {
+        "cpdkit.wbs2.mad_sigma",
+        "cpdkit.cli.mad_sigma",
+        "cpdkit.wbs.prefix_sums",
+        "cpdkit.wbs2.prefix_sums",
+        "cpdkit.binseg.prefix_sums",
+        "cpdkit.wbs.max_cusum_from_sums",
+        "cpdkit.binseg.max_cusum_from_sums",
+        "cpdkit.cli.select_bic",
+        "cpdkit.cli.select_mbic",
+        "cpdkit.distance.min_assignment",
+    }
+
+    consts = [
+        tuple(ast.literal_eval(arg) for arg in node.args[:2])
+        for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_module_const"
+    ]
+    assert len(consts) == 5
+    assert {f"{m}.{n}" for m, n in consts if not resolves(m, n)} == {
+        "cpdkit.cusum._BATCH_FLAT_LIMIT",
+        "cpdkit.penlik._FULL_COST_MAX_N",
+        "cpdkit.penlik.EXHAUSTIVE_CANDIDATE_LIMIT",
+    }

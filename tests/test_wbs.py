@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from cpdkit import TimeSeries, binary_segmentation, gen_null, wbs_detect
-from cpdkit.core import universal_threshold
+from cpdkit.core import threshold_level
 from cpdkit.wbs import sample_interval_pairs
 
 
@@ -76,8 +76,6 @@ class TestWbsDetect:
                 wbs_detect(s, c=c)
             with pytest.raises(ValueError, match="c must be non-negative"):
                 binary_segmentation(s, c=c)
-            with pytest.raises(ValueError, match="c must be non-negative"):
-                universal_threshold(s, c)
         with pytest.raises(ValueError, match="m_intervals"):
             wbs_detect(s, m_intervals=-5)
         # a non-integral count once failed inside numpy with a TypeError
@@ -88,7 +86,17 @@ class TestWbsDetect:
         for m_intervals, min_span in ((0, -5), (0, 0), (10, 0)):
             with pytest.raises(ValueError, match="min_span"):
                 wbs_detect(s, m_intervals=m_intervals, min_span=min_span)
-        assert universal_threshold(s, 0.0) == 0.0
+        assert threshold_level(0.0, len(s), s.sigma_hat) == 0.0
+
+    def test_settings_are_checked_before_any_statistic(self, count_calls):
+        # a bad c must fail as itself, not as mad_sigma's "need at least 3
+        # observations" on this two-point series
+        calls = count_calls(TimeSeries, "sigma_hat")
+        s = TimeSeries([0.0, 1.0])
+        for detect in (binary_segmentation, wbs_detect):
+            with pytest.raises(ValueError, match="c must be non-negative"):
+                detect(s, c=-1.0)
+        assert calls == []
 
     def test_determinism(self):
         s = gen_null(200, 17)

@@ -16,7 +16,7 @@ from cpdkit import (
     wbs2_sdll_detect,
 )
 from cpdkit import wbs2
-from cpdkit.core import mad_sigma, universal_threshold
+from cpdkit.core import mad_sigma, threshold_level
 from cpdkit.cusum import batch_max_cusum
 from cpdkit.wbs import sample_interval_pairs
 
@@ -157,7 +157,7 @@ class TestSdllSelect:
         # a gate written with numpy kept a candidate exactly at the threshold
         for n_obs in (9170, 19143):
             series = gen_null(n_obs, 3)
-            zeta = universal_threshold(series, 1.3)
+            zeta = threshold_level(1.3, n_obs, series.sigma_hat)
             for magnitude, kept in ((zeta, ()), (np.nextafter(zeta, np.inf), (4001,))):
                 entry = CandidateEntry(start=1, end=n_obs, location=4000, magnitude=magnitude)
                 cands = SortedCandidateList(entries=(entry,), series_length=n_obs)
