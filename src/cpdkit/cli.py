@@ -9,11 +9,14 @@ path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .bench import (
     METHODS,
@@ -77,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_lines(path: str) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_UNREADABLE)
@@ -85,33 +88,44 @@ def _read_lines(path: str) -> list[str]:
 
 def read_series_file(path: str) -> TimeSeries:
     """One numeric value per line, or comma-separated time,value rows (second
-    column used); an optional non-numeric first line is treated as a header."""
-    values: list[float] = []
-    first_data_line = True
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        cell = cells[1] if len(cells) >= 2 else cells[0]
+    column used); an optional non-numeric first line is treated as a header.
+    The file is UTF-8 with an optional BOM and any line ending."""
+    lines = _read_lines(path)
+    cells = [line.split(",")[1].strip() if "," in line else line
+             for line in map(str.strip, lines) if line]
+    if cells:
         try:
-            value = float(cell)
+            float(cells[0])
         except ValueError:
-            if first_data_line:
-                first_data_line = False  # header row
-                continue
-            raise CliError(f"{path}: non-numeric value on line {lineno}: {line!r}",
-                           EXIT_BAD_CONTENT)
-        first_data_line = False
-        if not math.isfinite(value):
-            raise CliError(f"{path}: non-finite value on line {lineno}: {line!r}",
-                           EXIT_BAD_CONTENT)
-        values.append(value)
-
+            del cells[0]  # header row
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        raise _bad_line(path, lines, cells)
+    if not np.isfinite(values).all():
+        raise _bad_line(path, lines, cells)
     try:
         return TimeSeries(values)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}", EXIT_BAD_CONTENT)
+
+
+def _bad_line(path: str, lines: list[str], cells: list[str]) -> CliError:
+    """The error naming the first line whose value cell is not a finite float:
+    a second walk over the lines, made only for a file that fails. ``cells``
+    are the value cells of the non-blank lines, less any header."""
+    rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+            if line]
+    for (lineno, line), cell in zip(rows[len(rows) - len(cells):], cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return CliError(f"{path}: non-numeric value on line {lineno}: {line!r}",
+                            EXIT_BAD_CONTENT)
+        if not math.isfinite(value):
+            return CliError(f"{path}: non-finite value on line {lineno}: {line!r}",
+                            EXIT_BAD_CONTENT)
+    raise AssertionError("every value cell is a finite float")
 
 
 def read_changepoint_file(path: str, series_length: int) -> ChangepointConfig:
@@ -234,6 +248,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# built once per process: it reads only module constants, and parse_args
+# leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cpdkit",

@@ -21,7 +21,14 @@ from cpdkit import (
     gen_null,
     gen_teeth,
 )
-from cpdkit.cli import _DETECTOR_FLAGS, _method_params, build_parser, main
+from cpdkit.cli import (
+    _DETECTOR_FLAGS,
+    _Parser,
+    _method_params,
+    build_parser,
+    main,
+    read_series_file,
+)
 
 # SHA-256 of the detect JSON of test_detect_json_is_bit_identical, as recorded
 DETECT_JSON_SHA256 = "725eba32ecc62b2ed7f1e40c8387df71af841a3cbbf371d1161d61d04c9cea5f"
@@ -204,6 +211,96 @@ class TestDetect:
             default = getattr(spec, name)
             assert (type(value), value) == (type(default), default), name
             assert default == generator[name].default, name
+
+
+REPR_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1, 1 / 3, -1e-300,
+               1.2345678901234567e300, 123456789.00000001]
+SERIES_FILES = [  # file bytes, then the values read or the error after "<path>: "
+    (b"1.0\n\n2.0\n\n\nbogus\n3.0\n", "non-numeric value on line 6: 'bogus'"),
+    (b"value\nbogus\n1.0\n2.0\n", "non-numeric value on line 2: 'bogus'"),
+    (b"t,value,flag\n1,0.5,x\n2,1.5,y\n3,2.5,z\n", [0.5, 1.5, 2.5]),
+    (b"  t , value \r\n 1 , 0.25 \r\n\r\n\t2,\t-1.5\t\r\n3 ,4e-3\r\n", [0.25, -1.5, 0.004]),
+    (b"  0.5  \r\n\r\n\t-2 \r\n1e1\r\n", [0.5, -2.0, 10.0]),
+    (b"\xef\xbb\xbftime,value\n1,2.5\n2,3.5\n3,4.5\n", [2.5, 3.5, 4.5]),
+    (b"t,value\n1,1.0\n2,nan\n3,2.0\n", "non-finite value on line 3: '2,nan'"),
+    (b"value\n", "series length must be at least 2, got 0"),
+    (b"", "series length must be at least 2, got 0"),
+    (b"value\n7.5\n", "series length must be at least 2, got 1"),
+    ("".join(f"{v!r}\n" for v in REPR_FLOATS).encode(), REPR_FLOATS),
+]
+
+
+@pytest.mark.parametrize("content, expected", SERIES_FILES,
+                         ids=["blank-lines-count", "header-then-bad-line-2", "three-fields",
+                              "whitespace-crlf", "one-column-crlf", "bom-then-header",
+                              "nan-in-value-column", "header-only", "empty", "header-one-value",
+                              "repr-floats"])
+def test_series_file_reading_is_pinned(tmp_path, capsys, content, expected):
+    # the reader's accepted files, values and messages, pinned before it was
+    # rewritten to parse every cell at once
+    src = tmp_path / "s.csv"
+    src.write_bytes(content)
+    code = main(["detect", str(src), "--method", "binseg"])
+    if isinstance(expected, str):
+        assert code == 3
+        assert capsys.readouterr().err == f"{src}: {expected}\n"
+    else:
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n_obs"] == len(expected)
+        values = read_series_file(str(src)).values
+        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+class TestByteOrderMark:
+    # Excel and PowerShell write UTF-8 with a BOM; "\ufeff5.0" is not a float,
+    # so the first value was once dropped as a header
+    def test_headerless_series_keeps_its_first_value(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal(100).tolist()
+        text = "".join(f"{v!r}\n" for v in values)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        read = read_series_file(str(marked)).values
+        assert len(read) == 100
+        assert read.tobytes() == read_series_file(str(plain)).values.tobytes()
+
+    def test_distance_reads_the_first_time_of_a_bom_file(self, tmp_path, capsys):
+        truth, estimate = tmp_path / "truth.txt", tmp_path / "estimate.txt"
+        truth.write_text("10\n20\n", encoding="utf-8-sig")
+        estimate.write_text("10\n20\n", encoding="utf-8")
+        assert main(["distance", str(truth), str(estimate), "--length", "100"]) == 0
+        assert "distance: 0.000000" in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "stairs.csv"
+    src.write_text("".join(f"{v!r}\n" for v in np.repeat(np.arange(10.0), 4).tolist()))
+    argv = ["detect", str(src), "--method", "binseg"]
+    assert main(argv) == 0
+    built = []
+    init = _Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", counted)
+    detector = bench.METHODS["binseg"]
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["min_len"])
+        return detector(*args, **kwargs)
+
+    monkeypatch.setitem(bench.METHODS, "binseg", spy)
+    # a flag set in one call must not reach the next
+    assert main(argv + ["--min-len", "17"]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    default = inspect.signature(detector).parameters["min_len"].default
+    assert seen == [17, default]
+    assert built == []
 
 
 DETECTOR_FLAGS = [  # flag, a non-default value, the parameter it sets, its methods
